@@ -10,8 +10,13 @@ projected quasi-Newton descent).
 Typical flow: build a :class:`DegreeDistribution`, group it with
 :func:`partition_equal_mass` + :func:`grouped_stats`, pick control
 groups via :func:`amass_control_groups`, then hand everything to
-:class:`OptimizationProblem` and :func:`optimize`. The ``epinetopt``
-command line drives the same pipeline from a config file.
+:class:`OptimizationProblem` and :func:`optimize`, whose result holds
+the optimal schedule with its trajectory and cost breakdown. Any other
+schedule is priced by :func:`simulate_grouped` followed by
+:func:`evaluate_cost`, the one cost formula the optimizer uses too.
+:func:`grouping_error` checks a range of group counts against one
+simulation of the full model. The ``epinetopt`` command line drives the
+same pipeline from a config file.
 """
 
 from .control import (
@@ -21,9 +26,7 @@ from .control import (
     ResourceAllocation,
     constant_strategy,
     evaluate_cost,
-    read_schedule_csv,
     resource_allocation,
-    write_schedule_csv,
     zero_strategy,
 )
 from .dynamics import (
@@ -34,7 +37,6 @@ from .dynamics import (
     cumulative_infected,
     simulate_full,
     simulate_grouped,
-    write_trajectory_csv,
 )
 from .errors import (
     ConfigError,
@@ -51,14 +53,11 @@ from .grouping import (
     amass_control_groups,
     grouped_stats,
     grouping_error,
-    grouping_table,
     partition_equal_mass,
 )
 from .network import (
     DegreeDistribution,
     EdgeListStats,
-    ExcessDistribution,
-    excess_distribution,
     from_edge_list,
     load_edge_list,
     poisson_distribution,
@@ -92,11 +91,9 @@ __all__ = [
     "ConfigError",
     # network
     "DegreeDistribution",
-    "ExcessDistribution",
     "EdgeListStats",
     "poisson_distribution",
     "power_law_distribution",
-    "excess_distribution",
     "from_edge_list",
     "load_edge_list",
     "read_distribution",
@@ -109,7 +106,6 @@ __all__ = [
     "grouped_stats",
     "amass_control_groups",
     "grouping_error",
-    "grouping_table",
     # dynamics
     "DEFAULT_GRID_POINTS",
     "EpidemicParams",
@@ -118,7 +114,6 @@ __all__ = [
     "simulate_full",
     "simulate_grouped",
     "cumulative_infected",
-    "write_trajectory_csv",
     # control
     "CostParams",
     "ControlSchedule",
@@ -128,8 +123,6 @@ __all__ = [
     "zero_strategy",
     "evaluate_cost",
     "resource_allocation",
-    "write_schedule_csv",
-    "read_schedule_csv",
     # optimizer
     "OptimizationProblem",
     "OptimizationResult",

@@ -22,7 +22,7 @@ import os
 import sys
 from configparser import ConfigParser
 from configparser import Error as _IniError
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .dynamics import (
     EpidemicParams,
     TimeGrid,
     Trajectory,
-    cumulative_infected,
     simulate_grouped,
 )
 from .errors import (
@@ -64,6 +63,7 @@ from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
     OptimizerOptions,
+    SweepPoint,
     improvement_percent,
     optimize,
     sweep,
@@ -81,31 +81,21 @@ __all__ = [
 
 STRATEGY_NAMES = ("optimal", "constant", "none")
 
-_SOLVER_DEFAULTS = OptimizerOptions()
-
-# Per-kind network fields; anything else under [network] is a typo we reject.
+# The config schema: section -> field -> default, in the order the effective
+# config lists them. A default's type is the field's type; None marks a
+# required string. [network] fields depend on the network kind.
 _NETWORK_FIELDS = {
-    "power_law": {"alpha": "2.0", "k_min": "6", "k_max": "105"},
-    "poisson": {"lambda": "17.5", "k_min": "1", "k_max": "45"},
+    "power_law": {"alpha": 2.0, "k_min": 6, "k_max": 105},
+    "poisson": {"lambda": 17.5, "k_min": 1, "k_max": 45},
     "distribution": {"path": None},
     "edge_list": {"path": None},
 }
-
 _FIELDS = {
-    "network": None,  # kind-dependent, see _NETWORK_FIELDS
-    "grouping": {"z": "21", "m": "3"},
-    "epidemic": {"beta": "0.5", "gamma": "0.25", "i0": "0.01", "duration": "20"},
-    "cost": {"b": "0.25", "c": "0.5"},
-    "grid": {"points": str(DEFAULT_GRID_POINTS)},
-    "solver": {
-        "gradient_tol": repr(_SOLVER_DEFAULTS.gradient_tol),
-        "relative_decrease_tol": repr(_SOLVER_DEFAULTS.relative_decrease_tol),
-        "stall_iterations": str(_SOLVER_DEFAULTS.stall_iterations),
-        "max_iterations": str(_SOLVER_DEFAULTS.max_iterations),
-        "memory": str(_SOLVER_DEFAULTS.memory),
-        "armijo_c1": repr(_SOLVER_DEFAULTS.armijo_c1),
-        "max_backtracks": str(_SOLVER_DEFAULTS.max_backtracks),
-    },
+    "grouping": {"z": 21, "m": 3},
+    "epidemic": {"beta": 0.5, "gamma": 0.25, "i0": 0.01, "duration": 20.0},
+    "cost": {"b": 0.25, "c": 0.5},
+    "grid": {"points": DEFAULT_GRID_POINTS},
+    "solver": asdict(OptimizerOptions()),
     "run": {"strategies": "optimal, constant, none", "output": "out"},
 }
 
@@ -137,11 +127,7 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
-        if self.network_kind not in _NETWORK_FIELDS:
-            raise ConfigError(
-                f"network.kind: expected one of {', '.join(sorted(_NETWORK_FIELDS))}, "
-                f"got {self.network_kind!r}"
-            )
+        _check_kind(self.network_kind)
         if not self.strategies:
             raise ConfigError("run.strategies: at least one strategy is required")
         for name in self.strategies:
@@ -184,81 +170,30 @@ class ExperimentConfig:
     @classmethod
     def _from_parser(cls, cp: ConfigParser) -> "ExperimentConfig":
         for section in cp.sections():
-            if section not in _FIELDS:
+            if section != "network" and section not in _FIELDS:
                 raise ConfigError(f"unknown config section [{section}]")
-        kind = _get_str(cp, "network", "kind", "power_law").lower()
-        if kind not in _NETWORK_FIELDS:
-            raise ConfigError(
-                f"network.kind: expected one of {', '.join(sorted(_NETWORK_FIELDS))}, "
-                f"got {kind!r}"
-            )
-        allowed = set(_NETWORK_FIELDS[kind]) | {"kind"}
-        _reject_unknown(cp, "network", allowed)
-        for section, fields in _FIELDS.items():
-            if fields is not None:
-                _reject_unknown(cp, section, set(fields))
-
-        alpha = lam = None
-        k_min = k_max = None
-        network_path = None
-        if kind in ("power_law", "poisson"):
-            defaults = _NETWORK_FIELDS[kind]
-            if kind == "power_law":
-                alpha = _get_float(cp, "network", "alpha", defaults["alpha"])
-            else:
-                lam = _get_float(cp, "network", "lambda", defaults["lambda"])
-            k_min = _get_int(cp, "network", "k_min", defaults["k_min"])
-            k_max = _get_int(cp, "network", "k_max", defaults["k_max"])
-        else:
-            network_path = _get_str(cp, "network", "path", None)
-            if network_path is None:
-                raise ConfigError(f"network.path: required for kind {kind!r}")
-
-        duration = _get_float(cp, "epidemic", "duration", _FIELDS["epidemic"]["duration"])
-        params = EpidemicParams(
-            beta=_get_float(cp, "epidemic", "beta", _FIELDS["epidemic"]["beta"]),
-            gamma=_get_float(cp, "epidemic", "gamma", _FIELDS["epidemic"]["gamma"]),
-            i0=_get_float(cp, "epidemic", "i0", _FIELDS["epidemic"]["i0"]),
-            duration=duration,
-        )
-        cost = CostParams(
-            b=_get_float(cp, "cost", "b", _FIELDS["cost"]["b"]),
-            c=_get_float(cp, "cost", "c", _FIELDS["cost"]["c"]),
-        )
-        grid = TimeGrid(
-            n_points=_get_int(cp, "grid", "points", _FIELDS["grid"]["points"]),
-            duration=duration,
-        )
-        d = _FIELDS["solver"]
-        solver = OptimizerOptions(
-            gradient_tol=_get_float(cp, "solver", "gradient_tol", d["gradient_tol"]),
-            relative_decrease_tol=_get_float(
-                cp, "solver", "relative_decrease_tol", d["relative_decrease_tol"]
-            ),
-            stall_iterations=_get_int(cp, "solver", "stall_iterations", d["stall_iterations"]),
-            max_iterations=_get_int(cp, "solver", "max_iterations", d["max_iterations"]),
-            memory=_get_int(cp, "solver", "memory", d["memory"]),
-            armijo_c1=_get_float(cp, "solver", "armijo_c1", d["armijo_c1"]),
-            max_backtracks=_get_int(cp, "solver", "max_backtracks", d["max_backtracks"]),
-        )
-        raw = _get_str(cp, "run", "strategies", _FIELDS["run"]["strategies"])
-        names = [s.strip().lower() for s in raw.split(",") if s.strip()]
-        strategies = tuple(dict.fromkeys(names))
+        kind = cp.get("network", "kind", fallback="power_law").strip().lower()
+        _check_kind(kind)
+        net = _read(cp, "network", _network_fields(kind))
+        values = {section: _read(cp, section, fields) for section, fields in _FIELDS.items()}
+        params = EpidemicParams(**values["epidemic"])
+        run = values["run"]
+        names = [s.strip().lower() for s in run["strategies"].split(",") if s.strip()]
         return cls(
             network_kind=kind,
-            alpha=alpha,
-            lam=lam,
-            k_min=k_min,
-            k_max=k_max,
-            network_path=network_path,
-            n_groups=_get_int(cp, "grouping", "z", _FIELDS["grouping"]["z"]),
-            n_control=_get_int(cp, "grouping", "m", _FIELDS["grouping"]["m"]),
+            alpha=net.get("alpha"),
+            lam=net.get("lambda"),
+            k_min=net.get("k_min"),
+            k_max=net.get("k_max"),
+            network_path=net.get("path"),
+            n_groups=values["grouping"]["z"],
+            n_control=values["grouping"]["m"],
             params=params,
-            cost=cost,
-            grid=grid,
-            solver=solver,
-            strategies=strategies,
-            output_dir=_get_str(cp, "run", "output", _FIELDS["run"]["output"]),
+            cost=CostParams(**values["cost"]),
+            grid=TimeGrid(values["grid"]["points"], params.duration),
+            solver=OptimizerOptions(**values["solver"]),
+            strategies=tuple(dict.fromkeys(names)),
+            output_dir=run["output"],
         )
 
     def effective_text(self) -> str:
@@ -268,48 +203,24 @@ class ExperimentConfig:
         an identical config (floats are written with ``repr`` so no
         precision is lost).
         """
-        lines = ["[network]", f"kind = {self.network_kind}"]
-        if self.network_kind == "power_law":
-            lines.append(f"alpha = {self.alpha!r}")
-        elif self.network_kind == "poisson":
-            lines.append(f"lambda = {self.lam!r}")
-        if self.network_path is not None:
-            lines.append(f"path = {self.network_path}")
-        else:
-            lines += [f"k_min = {self.k_min}", f"k_max = {self.k_max}"]
-        lines += [
-            "",
-            "[grouping]",
-            f"z = {self.n_groups}",
-            f"m = {self.n_control}",
-            "",
-            "[epidemic]",
-            f"beta = {self.params.beta!r}",
-            f"gamma = {self.params.gamma!r}",
-            f"i0 = {self.params.i0!r}",
-            f"duration = {self.params.duration!r}",
-            "",
-            "[cost]",
-            f"b = {self.cost.b!r}",
-            f"c = {self.cost.c!r}",
-            "",
-            "[grid]",
-            f"points = {self.grid.n_points}",
-            "",
-            "[solver]",
-            f"gradient_tol = {self.solver.gradient_tol!r}",
-            f"relative_decrease_tol = {self.solver.relative_decrease_tol!r}",
-            f"stall_iterations = {self.solver.stall_iterations}",
-            f"max_iterations = {self.solver.max_iterations}",
-            f"memory = {self.solver.memory}",
-            f"armijo_c1 = {self.solver.armijo_c1!r}",
-            f"max_backtracks = {self.solver.max_backtracks}",
-            "",
-            "[run]",
-            f"strategies = {', '.join(self.strategies)}",
-            f"output = {self.output_dir}",
+        network = {"kind": self.network_kind, "alpha": self.alpha, "lambda": self.lam,
+                   "k_min": self.k_min, "k_max": self.k_max, "path": self.network_path}
+        values = {
+            "network": network,
+            "grouping": {"z": self.n_groups, "m": self.n_control},
+            "epidemic": asdict(self.params),
+            "cost": asdict(self.cost),
+            "grid": {"points": self.grid.n_points},
+            "solver": asdict(self.solver),
+            "run": {"strategies": ", ".join(self.strategies), "output": self.output_dir},
+        }
+        schema = {"network": _network_fields(self.network_kind), **_FIELDS}
+        blocks = [
+            "\n".join([f"[{section}]"]
+                      + [f"{key} = {_format(values[section][key])}" for key in fields])
+            for section, fields in schema.items()
         ]
-        return "\n".join(lines) + "\n"
+        return "\n\n".join(blocks) + "\n"
 
     def build_distribution(self) -> DegreeDistribution:
         """Construct the degree distribution described by the network section."""
@@ -331,34 +242,46 @@ class ExperimentConfig:
         return dist, gd, cg
 
 
-def _get_str(cp, section, key, default):
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    return default
+def _check_kind(kind):
+    if kind not in _NETWORK_FIELDS:
+        raise ConfigError(
+            f"network.kind: expected one of {', '.join(sorted(_NETWORK_FIELDS))}, got {kind!r}"
+        )
 
 
-def _get_float(cp, section, key, default) -> float:
-    raw = _get_str(cp, section, key, default)
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+def _network_fields(kind):
+    return {"kind": "power_law", **_NETWORK_FIELDS[kind]}
 
 
-def _get_int(cp, section, key, default) -> int:
-    raw = _get_str(cp, section, key, default)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _reject_unknown(cp, section, allowed):
-    if not cp.has_section(section):
-        return
-    for key in cp.options(section):
-        if key not in allowed:
-            raise ConfigError(f"{section}.{key}: unknown field")
+def _read(cp, section, fields) -> dict:
+    """Typed values of ``fields`` in ``section``, defaults filled in.
+
+    Each value is parsed with the type of its default; keys that
+    ``fields`` does not list are rejected.
+    """
+    if cp.has_section(section):
+        for key in cp.options(section):
+            if key not in fields:
+                raise ConfigError(f"{section}.{key}: unknown field")
+    values = {}
+    for key, default in fields.items():
+        if not cp.has_option(section, key):
+            if default is None:
+                raise ConfigError(f"{section}.{key}: required")
+            values[key] = default
+            continue
+        raw = cp.get(section, key).strip()
+        parse = str if default is None else type(default)
+        try:
+            values[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{section}.{key}: expected {_TYPE_NAMES[parse]}, got {raw!r}"
+            ) from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +323,6 @@ class StrategyOutcome:
     schedule: ControlSchedule
     trajectory: Trajectory
     breakdown: CostBreakdown
-    cumulative_infected: float
     result: OptimizationResult | None = None
 
 
@@ -408,17 +330,13 @@ def _run_strategy(name: str, config: ExperimentConfig, gd, cg) -> StrategyOutcom
     if name == "optimal":
         problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
         result = optimize(problem, options=config.solver)
-        traj = simulate_grouped(gd, cg, result.schedule, config.params, config.grid)
-        return StrategyOutcome(
-            name, result.schedule, traj, result.breakdown, cumulative_infected(traj), result
-        )
+        return StrategyOutcome(name, result.schedule, result.trajectory, result.breakdown, result)
     if name == "constant":
         schedule = constant_strategy(config.params, config.grid, cg.n_control)
     else:
         schedule = zero_strategy(config.grid, cg.n_control)
     traj = simulate_grouped(gd, cg, schedule, config.params, config.grid)
-    breakdown = evaluate_cost(traj, schedule, cg, config.cost)
-    return StrategyOutcome(name, schedule, traj, breakdown, cumulative_infected(traj))
+    return StrategyOutcome(name, schedule, traj, evaluate_cost(traj, schedule, cg, config.cost))
 
 
 def _summary_text(config, dist, gd, cg, outcomes) -> str:
@@ -444,7 +362,7 @@ def _summary_text(config, dist, gd, cg, outcomes) -> str:
             f"infection_term = {_format(o.breakdown.infection_term)}",
             f"vaccination_term = {_format(o.breakdown.vaccination_term)}",
             f"treatment_term = {_format(o.breakdown.treatment_term)}",
-            f"cumulative_infected = {_format(o.cumulative_infected)}",
+            f"cumulative_infected = {_format(o.breakdown.infection_term)}",
             f"clamp_events = {o.trajectory.clamp_events}",
         ]
         if o.result is not None:
@@ -537,10 +455,8 @@ def run_group_error(config: ExperimentConfig, z_min: int = 1, z_max: int | None 
             f"group-error range [{z_min}, {z_max}] must lie within "
             f"[1, {dist.n_classes}]"
         )
-    rows = [
-        (z, grouping_error(dist, z, config.params, config.grid))
-        for z in range(z_min, z_max + 1)
-    ]
+    group_counts = range(z_min, z_max + 1)
+    rows = list(zip(group_counts, grouping_error(dist, group_counts, config.params, config.grid)))
     os.makedirs(config.output_dir, exist_ok=True)
     _write_table(
         os.path.join(config.output_dir, "group_error.csv"),
@@ -563,39 +479,10 @@ def run_sweep(config: ExperimentConfig, parameter: str, values):
     _, gd, cg = config.build()
     problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
     points = sweep(problem, parameter, values, config.solver)
-    rows = [
-        (
-            p.value,
-            p.J_optimal,
-            p.J_constant,
-            p.J_none,
-            p.improvement_over_constant,
-            p.improvement_over_none,
-            p.cumulative_infected_optimal,
-            p.cumulative_infected_constant,
-            p.cumulative_infected_none,
-            p.converged,
-            p.error if p.error is not None else "",
-        )
-        for p in points
-    ]
+    rows = [["" if cell is None else cell for cell in astuple(p)] for p in points]
     os.makedirs(config.output_dir, exist_ok=True)
     _write_table(
-        os.path.join(config.output_dir, "sweep.csv"),
-        [
-            "value",
-            "J_optimal",
-            "J_constant",
-            "J_none",
-            "improvement_over_constant",
-            "improvement_over_none",
-            "cumulative_infected_optimal",
-            "cumulative_infected_constant",
-            "cumulative_infected_none",
-            "converged",
-            "error",
-        ],
-        rows,
+        os.path.join(config.output_dir, "sweep.csv"), [f.name for f in fields(SweepPoint)], rows
     )
     _atomic_write(
         os.path.join(config.output_dir, "effective_config.ini"), config.effective_text()

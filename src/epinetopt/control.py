@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EpidemicParams, TimeGrid, Trajectory
-from .errors import IngestionError, ParameterError
+from .errors import ParameterError
 from .grouping import ControlGroups
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "constant_strategy",
     "zero_strategy",
     "resource_allocation",
-    "write_schedule_csv",
-    "read_schedule_csv",
 ]
 
 
@@ -270,36 +268,3 @@ def resource_allocation(
         strategy_shares=np.array([r_u.sum(), r_v.sum()]) / total * 100.0,
         total=total,
     )
-
-
-def write_schedule_csv(schedule: ControlSchedule, path) -> None:
-    """CSV export with columns t, u_1..u_M, v_1..v_M."""
-    m = schedule.n_control
-    header = ["t"] + [f"u_{j + 1}" for j in range(m)] + [f"v_{j + 1}" for j in range(m)]
-    data = np.column_stack([schedule.grid.t, schedule.u.T, schedule.v.T])
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
-
-def read_schedule_csv(path) -> ControlSchedule:
-    """Read a schedule written by :func:`write_schedule_csv`.
-
-    The time column must be uniform from 0; the remaining columns split
-    evenly into vaccination and treatment rates.
-    """
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
-    if data.shape[1] < 3 or (data.shape[1] - 1) % 2:
-        raise IngestionError(
-            f"{path}: expected columns t, u_1..u_M, v_1..v_M, got {data.shape[1]}"
-        )
-    t = data[:, 0]
-    if len(t) < 2 or t[0] != 0:
-        raise IngestionError(f"{path}: time column must start at 0 with >= 2 samples")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-        raise IngestionError(f"{path}: time column must be uniformly spaced")
-    m = (data.shape[1] - 1) // 2
-    grid = TimeGrid(len(t), float(t[-1]))
-    return ControlSchedule(u=data[:, 1 : 1 + m].T, v=data[:, 1 + m :].T, grid=grid)

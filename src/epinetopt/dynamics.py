@@ -34,12 +34,10 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "DEFAULT_GRID_POINTS",
-    "heun_step",
     "simulate_full",
     "simulate_grouped",
     "aggregate",
     "cumulative_infected",
-    "write_trajectory_csv",
 ]
 
 # Grid fine enough that the default epidemics are clamp-free and doubling
@@ -124,52 +122,6 @@ def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
     """Flow rates for susceptible and infected fractions of each group."""
     infect = (beta * (q_hat @ i)) * (k_hat * s)
     return -infect - u * s, infect - gamma * i - v * i
-
-
-def heun_step(state, controls_n, controls_np1, dt, params, gd, cg=None):
-    """One Heun step of the grouped controlled dynamics.
-
-    Parameters
-    ----------
-    state : (2, Z) array
-        Rows are the susceptible and infected fractions per group.
-    controls_n, controls_np1 : (2, M) arrays or None
-        Vaccination (row 0) and treatment (row 1) rates per control group
-        at the step's start and end times; None means uncontrolled.
-    dt : float
-    params : EpidemicParams
-    gd : GroupedDistribution
-    cg : ControlGroups, optional
-        Required when controls are given, to spread the M control values
-        over the Z groups.
-
-    Returns
-    -------
-    (next_state, clamped) : ((2, Z) array, bool)
-        State after the step, clipped to [0, 1]; the flag reports whether
-        the unclipped step left [0, 1] by more than 1e-12.
-    """
-    if (controls_n is None) != (controls_np1 is None):
-        raise ParameterError("controls must be given at both step endpoints")
-    z = len(gd.k_hat)
-    if controls_n is None:
-        u_n = v_n = u_np1 = v_np1 = np.zeros(z)
-    else:
-        if cg is None:
-            raise ParameterError("control groups required when controls are given")
-        a = cg.assignment
-        u_n, v_n = controls_n[0][a], controls_n[1][a]
-        u_np1, v_np1 = controls_np1[0][a], controls_np1[1][a]
-    s, i = state
-    ds0, di0 = _rhs(s, i, gd.k_hat, gd.q_hat, params.beta, params.gamma, u_n, v_n)
-    sp, ip = s + dt * ds0, i + dt * di0
-    ds1, di1 = _rhs(sp, ip, gd.k_hat, gd.q_hat, params.beta, params.gamma, u_np1, v_np1)
-    out = np.empty_like(state)
-    out[0] = s + 0.5 * dt * (ds0 + ds1)
-    out[1] = i + 0.5 * dt * (di0 + di1)
-    clamped = bool(out.min() < -_CLAMP_TOL or out.max() > 1 + _CLAMP_TOL)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out, clamped
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
@@ -263,15 +215,3 @@ def aggregate(s_hat, i_hat, gd: GroupedDistribution):
 def cumulative_infected(traj: Trajectory) -> float:
     """Time integral of the aggregate infected fraction (trapezoidal rule)."""
     return float(traj.grid.quadrature_weights() @ traj.i)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export: t, aggregates, then per-group s/i/r columns."""
-    z = traj.s_hat.shape[0]
-    header = ["t", "s", "i", "r"]
-    header += [f"s_hat_{j + 1}" for j in range(z)]
-    header += [f"i_hat_{j + 1}" for j in range(z)]
-    header += [f"r_hat_{j + 1}" for j in range(z)]
-    data = np.column_stack([traj.grid.t, traj.s, traj.i, traj.r,
-                            traj.s_hat.T, traj.i_hat.T, traj.r_hat.T])
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")

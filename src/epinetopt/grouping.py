@@ -25,7 +25,6 @@ __all__ = [
     "grouped_stats",
     "amass_control_groups",
     "grouping_error",
-    "grouping_table",
 ]
 
 
@@ -250,41 +249,30 @@ def amass_control_groups(gd: GroupedDistribution, n_control: int) -> ControlGrou
     return ControlGroups(assignment=assignment, x=x)
 
 
-def grouping_error(dist: DegreeDistribution, n_groups: int, params, grid) -> float:
-    """Combined relative error of the Z-grouped model against the full model.
+def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list[float]:
+    """Combined relative error of Z-grouped models against the full model.
 
-    Simulates the uncontrolled epidemic in both representations from
-    identical initial conditions and returns the relative L2 error of the
-    stacked aggregate trajectories (s, i, r) sampled on the grid,
+    Simulates the uncontrolled full model once, then the grouped model for
+    each Z in ``group_counts``, all from identical initial conditions, and
+    returns one error per requested Z: the relative L2 error of the stacked
+    aggregate trajectories (s, i, r) sampled on the grid,
     ``||grouped - full||_2 / ||full||_2``, combining all three states in
     one norm. The identity grouping gives 0 up to roundoff.
     """
     from .dynamics import simulate_full, simulate_grouped
 
-    full = simulate_full(dist, params, grid)
-    gd = grouped_stats(dist, partition_equal_mass(dist, n_groups))
-    grouped = simulate_grouped(gd, None, None, params, grid)
-    num, den = 0.0, 0.0
-    for a, b in ((grouped.s, full.s), (grouped.i, full.i), (grouped.r, full.r)):
-        num += np.sum((a - b) ** 2)
-        den += np.sum(b**2)
-    return float(np.sqrt(num / den))
+    def aggregates(traj):
+        return traj.s, traj.i, traj.r
 
-
-def grouping_table(
-    dist: DegreeDistribution, gd: GroupedDistribution, cg: ControlGroups | None = None
-) -> str:
-    """Tabular text report: z, degree range, p_hat, q_hat, k_hat[, m]."""
-    lines = ["z degree_range p_hat q_hat k_hat" + (" m" if cg is not None else "")]
-    edges = gd.grouping.boundaries
-    for z in range(gd.n_groups):
-        lo = dist.degrees[edges[z]]
-        hi = dist.degrees[edges[z + 1] - 1]
-        span = f"{lo}" if lo == hi else f"{lo}-{hi}"
-        row = (
-            f"{z + 1} {span} {gd.p_hat[z]:.6e} {gd.q_hat[z]:.6e} {gd.k_hat[z]:.6f}"
-        )
-        if cg is not None:
-            row += f" {cg.assignment[z] + 1}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    # keep only the aggregates: holding the per-class rows raises peak memory
+    full = aggregates(simulate_full(dist, params, grid))
+    errors = []
+    for n_groups in group_counts:
+        gd = grouped_stats(dist, partition_equal_mass(dist, n_groups))
+        grouped = aggregates(simulate_grouped(gd, None, None, params, grid))
+        num, den = 0.0, 0.0
+        for a, b in zip(grouped, full):
+            num += np.sum((a - b) ** 2)
+            den += np.sum(b**2)
+        errors.append(float(np.sqrt(num / den)))
+    return errors

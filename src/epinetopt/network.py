@@ -2,14 +2,14 @@
 
 Provides the synthetic generators (truncated Poisson for Erdos-Renyi-like
 networks, truncated power law for scale-free ones), ingestion of empirical
-edge lists, the excess-degree transform, and a plain-text serialization
-format (`degree probability` per line).
+edge lists, and a plain-text serialization format (`degree probability`
+per line).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,11 @@ from .errors import DegenerateDistributionError, IngestionError, ParameterError
 
 __all__ = [
     "DegreeDistribution",
-    "ExcessDistribution",
     "EdgeListStats",
     "poisson_distribution",
     "power_law_distribution",
     "from_edge_list",
     "load_edge_list",
-    "excess_distribution",
     "write_distribution",
     "read_distribution",
 ]
@@ -87,30 +85,6 @@ class DegreeDistribution:
         and sum to one.
         """
         return self.degrees * self.pmf / self.mean_degree
-
-
-@dataclass(frozen=True)
-class ExcessDistribution:
-    """Distribution of a random neighbor's degree minus one.
-
-    ``pmf[j]`` is the probability that a node reached along a random edge
-    has ``k_min + j`` further contacts, i.e. excess degree ``k_min + j``
-    where ``k_min`` here is one less than the underlying distribution's.
-    """
-
-    k_min: int
-    pmf: np.ndarray
-    mean_degree: float
-
-    def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
-        object.__setattr__(self, "pmf", pmf)
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _MASS_TOL:
-            raise ParameterError("excess probabilities must be nonnegative and sum to 1")
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_min + len(self.pmf))
 
 
 @dataclass(frozen=True)
@@ -260,18 +234,6 @@ def load_edge_list(path) -> list[tuple[str, str]]:
     if not edges:
         raise IngestionError(f"{path}: no edges found")
     return edges
-
-
-def excess_distribution(dist: DegreeDistribution) -> ExcessDistribution:
-    """Distribution of the excess degree (degree minus one) of a random neighbor.
-
-    The probability of excess degree ``j`` is ``(j+1) * pmf_{j+1} / mean``,
-    supported on ``dist.k_min - 1 .. dist.k_max - 1``.
-    """
-    mean = dist.mean_degree
-    q = (dist.degrees * dist.pmf) / mean
-    q = q / q.sum()  # analytically 1; keep the invariant exact
-    return ExcessDistribution(k_min=dist.k_min - 1, pmf=q, mean_degree=mean)
 
 
 def write_distribution(dist: DegreeDistribution, path) -> None:

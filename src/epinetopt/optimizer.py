@@ -12,6 +12,11 @@ at their grid nodes. The solver is a projected limited-memory
 quasi-Newton method with an Armijo backtracking search along the
 projected arc; with an upper bound it also keeps variables held at a
 bound out of the search direction.
+
+Every objective value comes from :func:`~epinetopt.control.evaluate_cost`,
+and each schedule is simulated once: the line search hands the accepted
+point's trajectory to the gradient and, at the end, to the result, whose
+``trajectory`` and ``breakdown`` callers use instead of re-simulating.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from .control import (
     CostBreakdown,
     CostParams,
     constant_strategy,
-    _cost_rows,
     evaluate_cost,
     zero_strategy,
 )
-from .dynamics import EpidemicParams, TimeGrid, _integrate, simulate_grouped
+from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate, simulate_grouped
 from .errors import NumericalFailureError, ParameterError
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -85,12 +89,27 @@ class OptimizerOptions:
     armijo_c1: float = 1e-4
     max_backtracks: int = 50
 
+    def __post_init__(self):
+        for name in ("stall_iterations", "max_iterations", "memory", "max_backtracks"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("gradient_tol", "relative_decrease_tol"):
+            if not (getattr(self, name) >= 0 and np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.armijo_c1 < 1:
+            raise ParameterError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of one optimize run; ``history`` holds J per iterate."""
+    """Outcome of one optimize run; ``history`` holds J per iterate.
+
+    ``trajectory`` is the epidemic simulated under ``schedule`` and
+    ``breakdown`` the objective priced on it.
+    """
 
     schedule: ControlSchedule
+    trajectory: Trajectory = field(repr=False)
     J: float
     breakdown: CostBreakdown
     iterations: int
@@ -107,18 +126,16 @@ def _split(problem: OptimizationProblem, x: np.ndarray):
     return x[: m * n].reshape(m, n), x[m * n :].reshape(m, n)
 
 
-def _forward(problem, u, v):
-    """Simulate and return (J, trajectory) without re-validating controls."""
-    a = problem.cg.assignment
-    traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
-    w = problem.grid.quadrature_weights()
-    weights, du, dv, _ = _cost_rows(problem.cost, problem.cg, u, v, traj)
-    j = float(
-        w @ traj.i
-        + problem.cost.b * (w @ (weights @ du**2))
-        + problem.cost.c * (w @ (weights @ dv**2))
-    )
-    return j, traj
+def _forward(problem, u, v, traj=None):
+    """Simulate the schedule (u, v) unless ``traj`` already holds it; price it.
+
+    Returns ``(schedule, trajectory, breakdown)``.
+    """
+    schedule = ControlSchedule(u, v, problem.grid)
+    if traj is None:
+        a = problem.cg.assignment
+        traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
+    return schedule, traj, evaluate_cost(traj, schedule, problem.cg, problem.cost)
 
 
 def _upper_bound(problem):
@@ -133,21 +150,23 @@ def _check_finite(traj):
         raise NumericalFailureError(f"non-finite state at grid step {step}")
 
 
-def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray):
+def objective_and_gradient(
+    problem: OptimizationProblem, x: np.ndarray, trajectory: Trajectory | None = None
+):
     """Objective value and its exact gradient for a flat decision vector.
 
     The vector stacks the vaccination rates (M*N, row-major) followed by
-    the treatment rates. The gradient is computed by a reverse sweep
+    the treatment rates. ``trajectory``, if given, must be the one
+    simulated under ``x``; it spares the forward sweep and leaves the
+    result unchanged. The gradient is computed by a reverse sweep
     through the Heun steps (discrete adjoint), which differentiates the
     discretized objective exactly, the state-dependent dose terms of the
     ``"dose"`` functional included; a finite-difference cross-check is
     available via :func:`finite_difference_gradient`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.min() < 0:
-        raise ParameterError("decision vector must be nonnegative")
-    u, v = _split(problem, x)
-    j, traj = _forward(problem, u, v)
+    u, v = _split(problem, np.asarray(x, dtype=float))
+    _, traj, breakdown = _forward(problem, u, v, trajectory)
+    j = breakdown.J
     _check_finite(traj)
     if not np.isfinite(j):
         raise NumericalFailureError("objective is not finite")
@@ -242,7 +261,7 @@ def finite_difference_gradient(
             xs = x.copy()
             xs[idx] += sign * h
             u, v = _split(problem, xs)
-            j, _ = _forward(problem, u, v)
+            j = _forward(problem, u, v)[2].J
             if sign > 0:
                 j_plus = j
             else:
@@ -298,7 +317,8 @@ def optimize(
     upper = _upper_bound(problem)
     x = _project(np.concatenate([initial.u.ravel(), initial.v.ravel()]), upper)
 
-    j, g = objective_and_gradient(problem, x)
+    _, traj, _ = _forward(problem, *_split(problem, x))
+    j, g = objective_and_gradient(problem, x, traj)
     history = [j]
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     stall = 0
@@ -327,9 +347,9 @@ def optimize(
             accepted = _line_search(problem, x, j, g, -steepest, options)
         if accepted is None:
             break
-        x_new, j_new = accepted
+        x_new, j_new, traj = accepted
 
-        _, g_new = objective_and_gradient(problem, x_new)
+        _, g_new = objective_and_gradient(problem, x_new, traj)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -350,12 +370,10 @@ def optimize(
     else:
         iterations = options.max_iterations
 
-    u, v = _split(problem, x)
-    schedule = ControlSchedule(u=u, v=v, grid=problem.grid)
-    traj = simulate_grouped(problem.gd, problem.cg, schedule, problem.params, problem.grid)
-    breakdown = evaluate_cost(traj, schedule, problem.cg, problem.cost)
+    schedule, _, breakdown = _forward(problem, *_split(problem, x), traj)
     return OptimizationResult(
         schedule=schedule,
+        trajectory=traj,
         J=j,
         breakdown=breakdown,
         iterations=iterations,
@@ -383,37 +401,44 @@ def _lbfgs_direction(g, pairs):
 
 
 def _line_search(problem, x, j, g, d, options):
-    """Backtracking Armijo search along the projected arc x(a) = P(x + a d)."""
+    """Backtracking Armijo search along the projected arc x(a) = P(x + a d).
+
+    Returns the accepted point, its objective and its trajectory, or None.
+    """
     upper = _upper_bound(problem)
     alpha = 1.0
     for _ in range(options.max_backtracks):
         x_new = _project(x + alpha * d, upper)
         step = x_new - x
         if step.any():
-            u, v = _split(problem, x_new)
-            j_new, _ = _forward(problem, u, v)
+            _, traj, breakdown = _forward(problem, *_split(problem, x_new))
+            j_new = breakdown.J
             if not np.isfinite(j_new):
                 raise NumericalFailureError("objective is not finite in line search")
             if j_new <= j + options.armijo_c1 * float(g @ step):
-                return x_new, j_new
+                return x_new, j_new, traj
         alpha *= 0.5
     return None
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a parameter sweep: objectives and per-strategy outcomes."""
+    """One row of a parameter sweep: objectives and per-strategy outcomes.
+
+    A failed point keeps NaN in every numeric field and the reason in
+    ``error``.
+    """
 
     value: float
-    J_optimal: float
-    J_constant: float
-    J_none: float
-    improvement_over_constant: float
-    improvement_over_none: float
-    cumulative_infected_optimal: float
-    cumulative_infected_constant: float
-    cumulative_infected_none: float
-    converged: bool
+    J_optimal: float = np.nan
+    J_constant: float = np.nan
+    J_none: float = np.nan
+    improvement_over_constant: float = np.nan
+    improvement_over_none: float = np.nan
+    cumulative_infected_optimal: float = np.nan
+    cumulative_infected_constant: float = np.nan
+    cumulative_infected_none: float = np.nan
+    converged: bool = False
     error: str | None = None
 
 
@@ -437,7 +462,6 @@ def sweep(
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
     rows = []
-    w = problem.grid.quadrature_weights()
     for value in values:
         try:
             if name == "beta":
@@ -445,45 +469,34 @@ def sweep(
             else:
                 variant = replace(problem, cost=replace(problem.cost, **{name: float(value)}))
             res = optimize(variant, options=options)
-            const = constant_strategy(variant.params, variant.grid, variant.cg.n_control)
-            none = zero_strategy(variant.grid, variant.cg.n_control)
-            traj_c = simulate_grouped(variant.gd, variant.cg, const, variant.params, variant.grid)
-            traj_n = simulate_grouped(variant.gd, variant.cg, none, variant.params, variant.grid)
-            traj_o = simulate_grouped(
-                variant.gd, variant.cg, res.schedule, variant.params, variant.grid
+            const, none = (
+                evaluate_cost(
+                    simulate_grouped(variant.gd, variant.cg, sched, variant.params, variant.grid),
+                    sched,
+                    variant.cg,
+                    variant.cost,
+                )
+                for sched in (
+                    constant_strategy(variant.params, variant.grid, variant.cg.n_control),
+                    zero_strategy(variant.grid, variant.cg.n_control),
+                )
             )
-            j_c = evaluate_cost(traj_c, const, variant.cg, variant.cost).J
-            j_n = evaluate_cost(traj_n, none, variant.cg, variant.cost).J
             rows.append(
                 SweepPoint(
                     value=float(value),
                     J_optimal=res.J,
-                    J_constant=j_c,
-                    J_none=j_n,
-                    improvement_over_constant=improvement_percent(j_c, res.J),
-                    improvement_over_none=improvement_percent(j_n, res.J),
-                    cumulative_infected_optimal=float(w @ traj_o.i),
-                    cumulative_infected_constant=float(w @ traj_c.i),
-                    cumulative_infected_none=float(w @ traj_n.i),
+                    J_constant=const.J,
+                    J_none=none.J,
+                    improvement_over_constant=improvement_percent(const.J, res.J),
+                    improvement_over_none=improvement_percent(none.J, res.J),
+                    cumulative_infected_optimal=res.breakdown.infection_term,
+                    cumulative_infected_constant=const.infection_term,
+                    cumulative_infected_none=none.infection_term,
                     converged=res.converged,
                 )
             )
         except (NumericalFailureError, ParameterError) as exc:
-            rows.append(
-                SweepPoint(
-                    value=float(value),
-                    J_optimal=float("nan"),
-                    J_constant=float("nan"),
-                    J_none=float("nan"),
-                    improvement_over_constant=float("nan"),
-                    improvement_over_none=float("nan"),
-                    cumulative_infected_optimal=float("nan"),
-                    cumulative_infected_constant=float("nan"),
-                    cumulative_infected_none=float("nan"),
-                    converged=False,
-                    error=str(exc),
-                )
-            )
+            rows.append(SweepPoint(float(value), error=str(exc)))
     return rows
 
 

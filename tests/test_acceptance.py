@@ -88,7 +88,7 @@ def _report(n, ok, details):
 def _optimal(gd, cg, params=DEFAULTS, cost=PAPER_COST):
     """Solve, insist on a clean solve, and attach the optimal trajectory."""
     result = optimize(OptimizationProblem(gd, cg, params, cost, GRID))
-    traj = simulate_grouped(gd, cg, result.schedule, params, GRID)
+    traj = result.trajectory
     assert result.converged, "optimal solve did not converge"
     assert traj.clamp_events == 0, f"optimal trajectory clamped {traj.clamp_events} times"
     return result, traj
@@ -171,12 +171,10 @@ def test_criterion_3_real_world_network():
 
 
 def test_criterion_4_grouping_error_thresholds():
-    vals = {
-        "pl2_z21": grouping_error(PL2, 21, DEFAULTS, GRID),
-        "er_z21": grouping_error(ER, 21, DEFAULTS, GRID),
-        "pl2_identity": grouping_error(PL2, PL2.n_classes, DEFAULTS, GRID),
-        "er_identity": grouping_error(ER, ER.n_classes, DEFAULTS, GRID),
-    }
+    vals = {}
+    for name, dist in (("pl2", PL2), ("er", ER)):
+        z21, identity = grouping_error(dist, [21, dist.n_classes], DEFAULTS, GRID)
+        vals.update({f"{name}_z21": z21, f"{name}_identity": identity})
     ok = (
         vals["pl2_z21"] < 1e-3
         and vals["er_z21"] < 1e-3
@@ -340,8 +338,8 @@ def test_criterion_9_property_suite(pl2_optimal, er_optimal):
 
     # identity grouping reproduces the full model
     items["identity_grouping"] = (
-        grouping_error(PL2, PL2.n_classes, DEFAULTS, GRID) <= 1e-12
-        and grouping_error(ER, ER.n_classes, DEFAULTS, GRID) <= 1e-12
+        grouping_error(PL2, [PL2.n_classes], DEFAULTS, GRID)[0] <= 1e-12
+        and grouping_error(ER, [ER.n_classes], DEFAULTS, GRID)[0] <= 1e-12
     )
 
     # adjoint gradient vs central differences at random coordinates, for the

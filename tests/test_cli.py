@@ -271,6 +271,16 @@ class TestExitCodes:
             ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "override", ["solver.memory=-3", "solver.armijo_c1=5", "solver.max_backtracks=0"]
+    )
+    def test_bad_solver_setting_is_config_error(self, tmp_path, capsys, override):
+        code = main(["optimize", "--output", str(tmp_path), *SMALL, "--set", override])
+        assert code == 1
+        field = override.partition("=")[0].partition(".")[2]
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
     def test_no_subcommand_is_config_error(self, capsys):
         assert main([]) == 1
         capsys.readouterr()

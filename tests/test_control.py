@@ -9,9 +9,7 @@ from epinetopt.control import (
     CostParams,
     constant_strategy,
     evaluate_cost,
-    read_schedule_csv,
     resource_allocation,
-    write_schedule_csv,
     zero_strategy,
 )
 from epinetopt.dynamics import (
@@ -20,7 +18,7 @@ from epinetopt.dynamics import (
     cumulative_infected,
     simulate_grouped,
 )
-from epinetopt.errors import IngestionError, ParameterError
+from epinetopt.errors import ParameterError
 from epinetopt.grouping import (
     ControlGroups,
     amass_control_groups,
@@ -216,37 +214,3 @@ class TestResourceAllocation:
         sched = constant_strategy(DEFAULTS, GRID, 3)
         alloc = resource_allocation(sched, CG, CostParams(0.0, 0.0))
         assert alloc.no_resources
-
-
-class TestScheduleCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        grid = TimeGrid(41, 8.0)
-        sched = ControlSchedule(rng.random((3, 41)), rng.random((3, 41)), grid)
-        path = tmp_path / "sched.csv"
-        write_schedule_csv(sched, path)
-        back = read_schedule_csv(path)
-        assert back.n_control == 3
-        assert back.grid.n_points == 41
-        npt.assert_allclose(back.grid.duration, 8.0, rtol=1e-12)
-        npt.assert_allclose(back.u, sched.u, atol=1e-12)
-        npt.assert_allclose(back.v, sched.v, atol=1e-12)
-
-    def test_header_layout(self, tmp_path):
-        sched = zero_strategy(TimeGrid(5, 1.0), 2)
-        path = tmp_path / "sched.csv"
-        write_schedule_csv(sched, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,u_1,u_2,v_1,v_2"
-
-    def test_rejects_odd_column_count(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,u_1,v_1,v_2\n0,0,0,0\n1,0,0,0\n")
-        with pytest.raises(IngestionError):
-            read_schedule_csv(path)
-
-    def test_rejects_nonuniform_times(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,u_1,v_1\n0,0,0\n0.5,0,0\n2.0,0,0\n")
-        with pytest.raises(IngestionError):
-            read_schedule_csv(path)

@@ -16,10 +16,8 @@ from epinetopt.dynamics import (
     TimeGrid,
     aggregate,
     cumulative_infected,
-    heun_step,
     simulate_full,
     simulate_grouped,
-    write_trajectory_csv,
 )
 from epinetopt.errors import ParameterError
 from epinetopt.grouping import (
@@ -98,58 +96,55 @@ class TestValidation:
         npt.assert_allclose(w.sum(), g.duration)
 
 
+def one_step(params, dt, u=0.0, v=0.0):
+    """One Heun step of the single-class model: simulate over TimeGrid(2, dt)."""
+    gd = single_class_gd()
+    rates = SimpleNamespace(u=np.full((1, 2), u), v=np.full((1, 2), v))
+    return simulate_grouped(gd, amass_control_groups(gd, 1), rates, params, TimeGrid(2, dt))
+
+
 class TestHeunStep:
     def test_zero_rhs_is_fixed_point(self):
-        gd = single_class_gd()
-        params = EpidemicParams(0.0, 0.0, 0.1, 1.0)
-        state = np.array([[0.7], [0.2]])
-        out, clamped = heun_step(state, None, None, 0.1, params, gd)
-        npt.assert_array_equal(out, state)
-        assert not clamped
+        traj = one_step(EpidemicParams(0.0, 0.0, 0.2, 0.1), 0.1)
+        npt.assert_array_equal(traj.s_hat[:, -1], [0.8])
+        npt.assert_array_equal(traj.i_hat[:, -1], [0.2])
+        assert traj.clamp_events == 0
 
     def test_scalar_exponential_decay_hand_value(self):
         # with beta=0, gamma=1 the infected fraction follows y' = -y;
-        # one Heun step from 1 with dt=0.1 gives 1 - 0.1 + 0.005 = 0.905
-        gd = single_class_gd()
-        params = EpidemicParams(0.0, 1.0, 0.5, 1.0)
-        state = np.array([[0.3], [1.0]])
-        out, _ = heun_step(state, None, None, 0.1, params, gd)
-        npt.assert_allclose(out[1, 0], 0.905, atol=1e-15)
-        npt.assert_allclose(out[0, 0], 0.3, atol=1e-15)
+        # one Heun step with dt=0.1 multiplies it by 1 - 0.1 + 0.005 = 0.905
+        traj = one_step(EpidemicParams(0.0, 1.0, 0.5, 0.1), 0.1)
+        npt.assert_allclose(traj.i_hat[0, -1], 0.5 * 0.905, atol=1e-15)
+        npt.assert_allclose(traj.s_hat[0, -1], 0.5, atol=1e-15)
 
     def test_local_error_third_order(self):
         # single-step error on y' = -y shrinks ~8x when dt halves
-        gd = single_class_gd()
-        params = EpidemicParams(0.0, 1.0, 0.5, 1.0)
         errs = []
         for dt in (0.1, 0.05):
-            out, _ = heun_step(np.array([[0.5], [1.0]]), None, None, dt, params, gd)
-            errs.append(abs(out[1, 0] - np.exp(-dt)))
+            traj = one_step(EpidemicParams(0.0, 1.0, 0.5, dt), dt)
+            errs.append(abs(traj.i_hat[0, -1] - 0.5 * np.exp(-dt)))
         assert 7.5 < errs[0] / errs[1] < 8.5
 
     def test_vaccination_control_direction(self):
         # u moves susceptibles out; with beta=gamma=0 only the control acts
-        gd = single_class_gd()
-        params = EpidemicParams(0.0, 0.0, 0.1, 1.0)
-        controls = np.array([[0.5], [0.0]])  # u=0.5, v=0
-        state = np.array([[1.0], [0.0]])
-        out, _ = heun_step(state, controls, controls, 0.1, params, gd,
-                           cg=amass_control_groups(gd, 1))
+        traj = one_step(EpidemicParams(0.0, 0.0, 0.0, 0.1), 0.1, u=0.5)
         # ds = -u s: exact Heun value for linear decay at rate 0.5
-        npt.assert_allclose(out[0, 0], 1 - 0.05 + 0.00125, atol=1e-15)
+        npt.assert_allclose(traj.s_hat[0, -1], 1 - 0.05 + 0.00125, atol=1e-15)
+        npt.assert_array_equal(traj.i_hat[0, -1], 0.0)
 
     def test_mismatched_control_endpoints_rejected(self):
+        # rates at the step's start only: the schedule misses the end node
         gd = single_class_gd()
-        params = EpidemicParams(0.0, 0.0, 0.1, 1.0)
+        rates = SimpleNamespace(u=np.zeros((1, 1)), v=np.zeros((1, 1)))
         with pytest.raises(ParameterError):
-            heun_step(np.array([[1.0], [0.0]]), np.zeros((2, 1)), None, 0.1, params, gd)
+            simulate_grouped(gd, amass_control_groups(gd, 1), rates,
+                             EpidemicParams(0.0, 0.0, 0.1, 0.1), TimeGrid(2, 0.1))
 
     def test_controls_without_control_groups_rejected(self):
         gd = single_class_gd()
-        params = EpidemicParams(0.0, 0.0, 0.1, 1.0)
-        c = np.zeros((2, 1))
+        rates = SimpleNamespace(u=np.zeros((1, 2)), v=np.zeros((1, 2)))
         with pytest.raises(ParameterError):
-            heun_step(np.array([[1.0], [0.0]]), c, c, 0.1, params, gd)
+            simulate_grouped(gd, None, rates, EpidemicParams(0.0, 0.0, 0.1, 0.1), TimeGrid(2, 0.1))
 
 
 class TestConvergenceOrder:
@@ -311,17 +306,3 @@ class TestQuadratureAndExport:
         params = EpidemicParams(0.0, 0.0, 0.25, 8.0)
         traj = simulate_grouped(gd, None, None, params, TimeGrid(17, 8.0))
         npt.assert_allclose(cumulative_infected(traj), 0.25 * 8.0, rtol=1e-14)
-
-    def test_csv_round_trip(self, tmp_path):
-        gd = grouped_stats(PL2, partition_equal_mass(PL2, 3))
-        traj = simulate_grouped(gd, None, None, DEFAULTS, TimeGrid(11, 20.0))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:4] == ["t", "s", "i", "r"]
-        assert header[4:7] == ["s_hat_1", "s_hat_2", "s_hat_3"]
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (11, 4 + 3 * 3)
-        npt.assert_allclose(data[:, 0], traj.grid.t)
-        npt.assert_allclose(data[:, 2], traj.i)
-        npt.assert_allclose(data[:, 4 + 3], traj.i_hat[0])

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epinetopt.dynamics import EpidemicParams, TimeGrid, simulate_full, simulate_grouped
+from epinetopt.dynamics import EpidemicParams, TimeGrid
 from epinetopt.errors import ParameterError
 from epinetopt.grouping import (
     ControlGroups,
@@ -17,7 +17,6 @@ from epinetopt.grouping import (
     amass_control_groups,
     grouped_stats,
     grouping_error,
-    grouping_table,
     partition_equal_mass,
 )
 from epinetopt.network import (
@@ -256,60 +255,27 @@ class TestControlGroups:
 class TestGroupingError:
     @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
     def test_identity_grouping_is_exact(self, dist):
-        err = grouping_error(dist, dist.n_classes, DEFAULTS, GRID)
+        [err] = grouping_error(dist, [dist.n_classes], DEFAULTS, GRID)
         assert err <= 1e-12
 
     def test_pl2_21_below_threshold(self):
-        err = grouping_error(PL2, 21, DEFAULTS, GRID)
+        [err] = grouping_error(PL2, [21], DEFAULTS, GRID)
         assert err < 1e-3
         npt.assert_allclose(err, 9.020792854333870e-04, rtol=1e-9)
 
     def test_er_21_below_threshold(self):
-        err = grouping_error(ER, 21, DEFAULTS, GRID)
+        [err] = grouping_error(ER, [21], DEFAULTS, GRID)
         assert err < 1e-3
         npt.assert_allclose(err, 1.015171982630926e-04, rtol=1e-9)
 
     @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
     def test_error_sweep_nonincreasing(self, dist):
-        # full sweep over Z; recompute the metric from one cached full run
-        # to keep the sweep affordable, and pin it to grouping_error at Z=21
-        full = simulate_full(dist, DEFAULTS, GRID)
-
-        def err_for(z):
-            gd = grouped_stats(dist, partition_equal_mass(dist, z))
-            g = simulate_grouped(gd, None, None, DEFAULTS, GRID)
-            num = den = 0.0
-            for a, b in ((g.s, full.s), (g.i, full.i), (g.r, full.r)):
-                num += np.sum((a - b) ** 2)
-                den += np.sum(b**2)
-            return np.sqrt(num / den)
-
+        # full sweep over Z against one full simulation; one error per Z,
+        # each the same as a call for that Z alone
         zs = np.arange(2, dist.n_classes + 1)
-        errs = np.array([err_for(z) for z in zs])
-        npt.assert_allclose(
-            errs[zs == 21][0], grouping_error(dist, 21, DEFAULTS, GRID), rtol=1e-12
-        )
+        errs = np.array(grouping_error(dist, zs, DEFAULTS, GRID))
+        assert errs.shape == zs.shape
+        assert errs[zs == 21][0] == grouping_error(dist, [21], DEFAULTS, GRID)[0]
         # monotone within a 1% noise allowance and a roundoff floor
         assert np.all(errs[1:] <= errs[:-1] * 1.01 + 1e-12)
         assert errs[-1] <= 1e-12
-
-
-class TestTable:
-    def test_table_contents(self):
-        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
-        cg = amass_control_groups(gd, 3)
-        text = grouping_table(PL2, gd, cg)
-        lines = text.strip().split("\n")
-        assert len(lines) == 22
-        assert lines[0].split() == ["z", "degree_range", "p_hat", "q_hat", "k_hat", "m"]
-        first = lines[1].split()
-        assert first[0] == "1" and first[1] == "6" and first[5] == "1"
-        last = lines[-1].split()
-        assert last[1] == "58-105" and last[5] == "3"
-
-    def test_table_without_control_groups(self):
-        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
-        text = grouping_table(PL2, gd)
-        lines = text.strip().split("\n")
-        assert lines[0].split() == ["z", "degree_range", "p_hat", "q_hat", "k_hat"]
-        assert len(lines) == 22

@@ -15,7 +15,6 @@ from epinetopt.errors import (
 )
 from epinetopt.network import (
     DegreeDistribution,
-    excess_distribution,
     from_edge_list,
     load_edge_list,
     poisson_distribution,
@@ -173,18 +172,19 @@ class TestEdgeList:
 
 
 class TestExcess:
+    """A neighbor reached along a random edge has degree k, that is excess
+    degree k - 1, with probability ``edge_end_weights()[k]``."""
+
     def test_pl2_endpoints_from_rational_oracle(self):
-        q = excess_distribution(power_law_distribution(2.0, 6, 105))
-        assert q.k_min == 5
-        npt.assert_allclose(q.pmf[0], 0.05644748168728221, rtol=1e-12)
-        npt.assert_allclose(q.pmf[-1], 0.003225570382130412, rtol=1e-12)
+        q = power_law_distribution(2.0, 6, 105).edge_end_weights()
+        npt.assert_allclose(q[0], 0.05644748168728221, rtol=1e-12)
+        npt.assert_allclose(q[-1], 0.003225570382130412, rtol=1e-12)
 
     def test_hand_computed_two_class_case(self):
         # degrees 2 and 4 with probabilities 0.5/0.5: mean 3,
         # q(excess 1) = 2*0.5/3 = 1/3, q(excess 3) = 4*0.5/3 = 2/3.
         dist = DegreeDistribution(2, 4, np.array([0.5, 0.0, 0.5]))
-        q = excess_distribution(dist)
-        npt.assert_allclose(q.pmf, [1 / 3, 0.0, 2 / 3], atol=1e-15)
+        npt.assert_allclose(dist.edge_end_weights(), [1 / 3, 0.0, 2 / 3], atol=1e-15)
 
     def test_normalized_for_random_distributions(self):
         rng = np.random.default_rng(7)
@@ -193,12 +193,12 @@ class TestExcess:
             width = int(rng.integers(1, 60))
             raw = rng.random(width) + 1e-3
             dist = DegreeDistribution(k_min, k_min + width - 1, raw / raw.sum())
-            q = excess_distribution(dist)
-            npt.assert_allclose(q.pmf.sum(), 1.0, atol=1e-12)
+            q = dist.edge_end_weights()
+            npt.assert_allclose(q.sum(), 1.0, atol=1e-12)
             # mean excess degree is <k^2>/<k> - 1
             m2 = (dist.degrees**2 * dist.pmf).sum()
             npt.assert_allclose(
-                (q.degrees * q.pmf).sum(), m2 / dist.mean_degree - 1, rtol=1e-10
+                ((dist.degrees - 1) * q).sum(), m2 / dist.mean_degree - 1, rtol=1e-10
             )
 
 

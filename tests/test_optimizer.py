@@ -1,11 +1,12 @@
 """Tests for the schedule optimizer: objective/gradient, solver, sweeps."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import epinetopt.optimizer
 from epinetopt.control import (
     ControlSchedule,
     CostParams,
@@ -66,6 +67,16 @@ class TestObjective:
         traj = simulate_grouped(GD, CG, sched, DEFAULTS, GRID)
         breakdown = evaluate_cost(traj, sched, CG, PROBLEM.cost)
         npt.assert_allclose(j, breakdown.J, rtol=1e-12)
+
+    def test_given_trajectory_gives_bitwise_same_result(self):
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.0, 0.6, (3, GRID.n_points))
+        sched = ControlSchedule(u, rng.uniform(0.0, 0.4, (3, GRID.n_points)), GRID)
+        traj = simulate_grouped(GD, CG, sched, DEFAULTS, GRID)
+        j, g = objective_and_gradient(PROBLEM, pack(sched))
+        j_given, g_given = objective_and_gradient(PROBLEM, pack(sched), traj)
+        assert j_given == j
+        npt.assert_array_equal(g_given, g)
 
     def test_zero_schedule_objective_is_cumulative_infected(self):
         j, _ = objective_and_gradient(PROBLEM, np.zeros(PROBLEM.n_variables))
@@ -178,6 +189,30 @@ class TestOptimize:
         const = constant_strategy(DEFAULTS, GRID, 3)
         traj_c = simulate_grouped(GD, CG, const, DEFAULTS, GRID)
         assert res.J < evaluate_cost(traj_c, const, CG, cost).J
+
+    @pytest.mark.parametrize(
+        "cost", [CostParams(0.25, 0.5), CostParams(0.25, 0.5, "dose", rate_max=1.0)],
+        ids=["rate", "dose"],
+    )
+    def test_each_schedule_simulated_once(self, cost, monkeypatch):
+        integrate = epinetopt.optimizer._integrate
+        sweeps = []
+
+        def recording(gd, params, grid, u_z=None, v_z=None):
+            sweeps.append(u_z.tobytes() + v_z.tobytes())
+            return integrate(gd, params, grid, u_z, v_z)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_integrate", recording)
+        prob = replace(SMALL, cost=cost)
+        res = optimize(prob)
+        assert res.iterations > 0
+        assert len(set(sweeps)) == len(sweeps)
+        # the result's trajectory and breakdown are those of its schedule
+        traj = simulate_grouped(SMALL_GD, SMALL_CG, res.schedule, DEFAULTS, SMALL_GRID)
+        for f in fields(traj):
+            npt.assert_array_equal(getattr(res.trajectory, f.name), getattr(traj, f.name))
+        assert res.breakdown == evaluate_cost(traj, res.schedule, SMALL_CG, cost)
+        assert res.J == res.breakdown.J
 
     def test_interior_optimum_reaches_gradient_tolerance(self):
         # single degree class, single control pair: smooth interior problem
