@@ -35,6 +35,7 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     cumulative_infected,
+    grouping_error,
     simulate_full,
     simulate_grouped,
 )
@@ -52,7 +53,6 @@ from .grouping import (
     Grouping,
     amass_control_groups,
     grouped_stats,
-    grouping_error,
     partition_equal_mass,
 )
 from .network import (
@@ -75,7 +75,6 @@ from .optimizer import (
     objective_and_gradient,
     optimize,
     sweep,
-    write_history_csv,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "partition_equal_mass",
     "grouped_stats",
     "amass_control_groups",
-    "grouping_error",
     # dynamics
     "DEFAULT_GRID_POINTS",
     "EpidemicParams",
@@ -113,6 +111,7 @@ __all__ = [
     "Trajectory",
     "simulate_full",
     "simulate_grouped",
+    "grouping_error",
     "cumulative_infected",
     # control
     "CostParams",
@@ -133,5 +132,4 @@ __all__ = [
     "optimize",
     "sweep",
     "improvement_percent",
-    "write_history_csv",
 ]

@@ -40,6 +40,7 @@ from .dynamics import (
     EpidemicParams,
     TimeGrid,
     Trajectory,
+    grouping_error,
     simulate_grouped,
 )
 from .errors import (
@@ -49,7 +50,7 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
 )
-from .grouping import amass_control_groups, grouped_stats, grouping_error, partition_equal_mass
+from .grouping import amass_control_groups, grouped_stats, partition_equal_mass
 from .network import (
     DegreeDistribution,
     from_edge_list,
@@ -67,7 +68,6 @@ from .optimizer import (
     improvement_percent,
     optimize,
     sweep,
-    write_history_csv,
 )
 
 __all__ = [
@@ -147,6 +147,8 @@ class ExperimentConfig:
         With ``path=None`` the built-in defaults alone are used. Every
         missing field falls back to its default; unknown sections, keys,
         or malformed values raise :class:`ConfigError` naming the field.
+        An override that changes ``network.kind`` drops the file's other
+        ``[network]`` keys, which belong to the file's kind.
         """
         cp = ConfigParser(interpolation=None)
         if path is not None:
@@ -155,6 +157,7 @@ class ExperimentConfig:
                     cp.read_file(fh, source=os.fspath(path))
             except _IniError as exc:
                 raise ConfigError(f"invalid config file: {exc}") from exc
+        given = ConfigParser(interpolation=None)
         for item in overrides:
             key, sep, value = item.partition("=")
             section, dot, option = key.strip().partition(".")
@@ -162,9 +165,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"overrides take the form section.key=value, got {item!r}"
                 )
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, option.strip(), value.strip())
+            if not given.has_section(section):
+                given.add_section(section)
+            given.set(section, option.strip(), value.strip())
+        kind = given.get("network", "kind", fallback="").lower()
+        if kind and kind != cp.get("network", "kind", fallback="power_law").lower():
+            cp.remove_section("network")
+        cp.read_dict(given)
         return cls._from_parser(cp)
 
     @classmethod
@@ -176,7 +183,7 @@ class ExperimentConfig:
         _check_kind(kind)
         net = _read(cp, "network", _network_fields(kind))
         values = {section: _read(cp, section, fields) for section, fields in _FIELDS.items()}
-        params = EpidemicParams(**values["epidemic"])
+        params = _from_section("epidemic", EpidemicParams, values)
         run = values["run"]
         names = [s.strip().lower() for s in run["strategies"].split(",") if s.strip()]
         return cls(
@@ -189,9 +196,9 @@ class ExperimentConfig:
             n_groups=values["grouping"]["z"],
             n_control=values["grouping"]["m"],
             params=params,
-            cost=CostParams(**values["cost"]),
+            cost=_from_section("cost", CostParams, values),
             grid=TimeGrid(values["grid"]["points"], params.duration),
-            solver=OptimizerOptions(**values["solver"]),
+            solver=_from_section("solver", OptimizerOptions, values),
             strategies=tuple(dict.fromkeys(names)),
             output_dir=run["output"],
         )
@@ -284,6 +291,14 @@ def _read(cp, section, fields) -> dict:
     return values
 
 
+def _from_section(section, cls, values):
+    """``cls`` from the values of ``section``; a value out of range names ``section.key``."""
+    try:
+        return cls(**values[section])
+    except ParameterError as exc:
+        raise ConfigError(f"{section}.{exc.field}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -312,6 +327,14 @@ def _write_table(path, header, rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([_format(cell) for cell in row])
+    _atomic_write(path, buf.getvalue())
+
+
+def write_history_csv(result: OptimizationResult, path) -> None:
+    """Per-iteration objective values as a two-column CSV."""
+    buf = io.StringIO()
+    data = np.column_stack([np.arange(len(result.history)), result.history])
+    np.savetxt(buf, data, delimiter=",", header="iteration,J", comments="")
     _atomic_write(path, buf.getvalue())
 
 
@@ -434,9 +457,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, StrategyOutcome]:
     _atomic_write(os.path.join(out, "summary.txt"), _summary_text(config, dist, gd, cg, outcomes))
     _atomic_write(os.path.join(out, "effective_config.ini"), config.effective_text())
     if shown.result is not None:
-        tmp = os.path.join(out, "history.csv.tmp")
-        write_history_csv(shown.result, tmp)
-        os.replace(tmp, os.path.join(out, "history.csv"))
+        write_history_csv(shown.result, os.path.join(out, "history.csv"))
     return {o.name: o for o in outcomes}
 
 
@@ -600,7 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, metavar="FILE", help="edge list, one edge per line")
     p.add_argument("--output", required=True, metavar="FILE", help="distribution file to write")
-    p.add_argument("--keep-duplicates", action="store_true", help="count repeated edges")
+    p.add_argument("--keep-duplicates", action="store_true",
+                   help="fail on a self-loop or repeated edge instead of dropping it")
     p.set_defaults(func=_cmd_ingest)
     parser.set_defaults(func=None)
     return parser

@@ -29,13 +29,9 @@ under ``"dose"`` with rates in [0, 1], on groups built with the SIR
 (excess-degree) infection pressure of
 :func:`~epinetopt.grouping.grouped_stats`. It prices the constant
 heuristic at about its bare infection burden, as the paper's
-improvement figures imply. Criterion 5 passes (optimal infection term
-0.4118 against 0.381 +/- 10%). Criteria 6-8 still fail: the ER
-improvements at beta = 0.8 are 19 and 11 points too high (criterion 6),
-the high-degree block gets 36% of the spending against 75% (criterion
-7), and the cost-sweep objectives lie 15-54% below their targets
-(criterion 8); the README tabulates them. The control terms double as
-the resource-consumption measure for allocation reports.
+improvement figures imply; the README tabulates how far each criterion
+is met. The control terms double as the resource-consumption measure
+for allocation reports.
 """
 
 from __future__ import annotations
@@ -80,15 +76,16 @@ class CostParams:
 
     def __post_init__(self):
         if not (self.b >= 0 and np.isfinite(self.b)):
-            raise ParameterError(f"vaccination cost weight must be >= 0, got {self.b}")
+            raise ParameterError(f"vaccination cost weight must be >= 0, got {self.b}", "b")
         if not (self.c >= 0 and np.isfinite(self.c)):
-            raise ParameterError(f"treatment cost weight must be >= 0, got {self.c}")
+            raise ParameterError(f"treatment cost weight must be >= 0, got {self.c}", "c")
         if self.functional not in FUNCTIONALS:
             raise ParameterError(
-                f"cost functional must be one of {', '.join(FUNCTIONALS)}, got {self.functional!r}"
+                f"cost functional must be one of {', '.join(FUNCTIONALS)}, got {self.functional!r}",
+                "functional",
             )
         if not self.rate_max > 0:  # also rejects nan
-            raise ParameterError(f"rate_max must be > 0, got {self.rate_max}")
+            raise ParameterError(f"rate_max must be > 0, got {self.rate_max}", "rate_max")
         if (self.functional == "dose") != bool(np.isfinite(self.rate_max)):
             raise ParameterError("the dose functional needs a finite rate_max, the rate functional none")
 
@@ -168,8 +165,8 @@ def _cost_rows(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory | Non
     ``starts``. For ``"rate"`` the rows are the M control groups (u, v
     weighted by x); for ``"dose"`` they are the Z degree groups (the doses
     u_m(z) s_z and v_m(z) i_z weighted by p_z), which needs ``traj``.
-    Every cost evaluation (objective, breakdown, allocation) goes through
-    here, so each measures the same functional.
+    Every cost evaluation (objective, gradient, breakdown, allocation)
+    goes through here, so each measures the same functional.
     """
     if cost.functional == "rate":
         return cg.x, u, v, np.arange(cg.n_control)
@@ -177,6 +174,22 @@ def _cost_rows(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory | Non
         raise ParameterError("the dose functional needs the trajectory simulated under the schedule")
     a = cg.assignment
     return traj.p_hat, u[a] * traj.s_hat, v[a] * traj.i_hat, cg.starts
+
+
+def _cost_gradient(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory, w):
+    """Derivatives of the control cost, by the chain rule through :func:`_cost_rows`.
+
+    Returns ``(node_s, node_i, g_u, g_v)``: the (Z, N) derivatives with respect to the
+    group states (None for ``"rate"``) and the (M, N) ones with respect to u and v.
+    """
+    weights, du, dv, starts = _cost_rows(cost, cg, u, v, traj)
+    ku = 2.0 * cost.b * weights[:, None] * du * w[None, :]  # derivative by each row
+    kv = 2.0 * cost.c * weights[:, None] * dv * w[None, :]
+    if cost.functional == "rate":  # the rows are the rates themselves
+        return None, None, ku, kv
+    a = cg.assignment  # the rows are the doses u_m(z) s_z and v_m(z) i_z
+    s, i = traj.s_hat, traj.i_hat
+    return ku * u[a], kv * v[a], np.add.reduceat(ku * s, starts), np.add.reduceat(kv * i, starts)
 
 
 def evaluate_cost(

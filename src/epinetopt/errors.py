@@ -6,7 +6,11 @@ class EpinetoptError(Exception):
 
 
 class ParameterError(EpinetoptError, ValueError):
-    """An argument violates an operation's preconditions."""
+    """An argument violates an operation's preconditions; ``field`` names it, if known."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DegenerateDistributionError(EpinetoptError):

@@ -3,8 +3,9 @@
 Degree classes are merged into Z contiguous groups of roughly equal
 probability mass, shrinking the ODE system from 2|K| to 2Z equations;
 the Z groups are further amassed into M control groups (one vaccination
-and one treatment signal each). `grouping_error` quantifies how much the
-compression distorts the aggregate epidemic trajectories.
+and one treatment signal each). How much the compression distorts the
+aggregate epidemic trajectories is measured by
+:func:`~epinetopt.dynamics.grouping_error`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "partition_equal_mass",
     "grouped_stats",
     "amass_control_groups",
-    "grouping_error",
 ]
 
 
@@ -49,15 +49,6 @@ class Grouping:
     @property
     def n_groups(self) -> int:
         return len(self.boundaries) - 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Number of degree classes per group."""
-        return np.diff(self.boundaries)
-
-    def group_of(self) -> np.ndarray:
-        """Group index for each degree class (inverse of the partition)."""
-        return np.repeat(np.arange(self.n_groups), self.sizes)
 
 
 @dataclass(frozen=True)
@@ -247,32 +238,3 @@ def amass_control_groups(gd: GroupedDistribution, n_control: int) -> ControlGrou
     assignment = np.repeat(np.arange(n_control), np.diff(boundaries))
     x = np.add.reduceat(gd.p_hat, boundaries[:-1])
     return ControlGroups(assignment=assignment, x=x)
-
-
-def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list[float]:
-    """Combined relative error of Z-grouped models against the full model.
-
-    Simulates the uncontrolled full model once, then the grouped model for
-    each Z in ``group_counts``, all from identical initial conditions, and
-    returns one error per requested Z: the relative L2 error of the stacked
-    aggregate trajectories (s, i, r) sampled on the grid,
-    ``||grouped - full||_2 / ||full||_2``, combining all three states in
-    one norm. The identity grouping gives 0 up to roundoff.
-    """
-    from .dynamics import simulate_full, simulate_grouped
-
-    def aggregates(traj):
-        return traj.s, traj.i, traj.r
-
-    # keep only the aggregates: holding the per-class rows raises peak memory
-    full = aggregates(simulate_full(dist, params, grid))
-    errors = []
-    for n_groups in group_counts:
-        gd = grouped_stats(dist, partition_equal_mass(dist, n_groups))
-        grouped = aggregates(simulate_grouped(gd, None, None, params, grid))
-        num, den = 0.0, 0.0
-        for a, b in zip(grouped, full):
-            num += np.sum((a - b) ** 2)
-            den += np.sum(b**2)
-        errors.append(float(np.sqrt(num / den)))
-    return errors

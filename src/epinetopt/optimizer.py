@@ -7,11 +7,12 @@ integrated with the same Heun scheme used for simulation, and the
 objective gradient is computed by a reverse (discrete-adjoint) sweep
 through the integrator steps, so it is exact for the discretized
 objective up to roundoff. State-dependent cost terms (the infected
-fraction, and the doses of the ``"dose"`` functional) enter that sweep
-at their grid nodes. The solver is a projected limited-memory
-quasi-Newton method with an Armijo backtracking search along the
-projected arc; with an upper bound it also keeps variables held at a
-bound out of the search direction.
+fraction, and the control cost's own, which :mod:`~epinetopt.control`
+differentiates) enter that sweep at their grid nodes. Every problem is
+solved on the box [0, rate_max], with rate_max infinite for the
+``"rate"`` functional, by one projected limited-memory quasi-Newton
+method: variables held at a bound stay out of the search direction, and
+an Armijo backtracking search runs along the projected arc.
 
 Every objective value comes from :func:`~epinetopt.control.evaluate_cost`,
 and each schedule is simulated once: the line search hands the accepted
@@ -29,6 +30,7 @@ from .control import (
     ControlSchedule,
     CostBreakdown,
     CostParams,
+    _cost_gradient,
     constant_strategy,
     evaluate_cost,
     zero_strategy,
@@ -46,7 +48,6 @@ __all__ = [
     "finite_difference_gradient",
     "optimize",
     "sweep",
-    "write_history_csv",
 ]
 
 
@@ -72,10 +73,6 @@ class OptimizationProblem:
                 f"grid duration {self.grid.duration}"
             )
 
-    @property
-    def n_variables(self) -> int:
-        return 2 * self.cg.n_control * self.grid.n_points
-
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -92,12 +89,12 @@ class OptimizerOptions:
     def __post_init__(self):
         for name in ("stall_iterations", "max_iterations", "memory", "max_backtracks"):
             if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}", name)
         for name in ("gradient_tol", "relative_decrease_tol"):
             if not (getattr(self, name) >= 0 and np.isfinite(getattr(self, name))):
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}", name)
         if not 0 < self.armijo_c1 < 1:
-            raise ParameterError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
+            raise ParameterError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}", "armijo_c1")
 
 
 @dataclass(frozen=True)
@@ -138,11 +135,6 @@ def _forward(problem, u, v, traj=None):
     return schedule, traj, evaluate_cost(traj, schedule, problem.cg, problem.cost)
 
 
-def _upper_bound(problem):
-    """Upper bound of the decision variables, or None if unbounded."""
-    return None if np.isinf(problem.cost.rate_max) else problem.cost.rate_max
-
-
 def _check_finite(traj):
     bad = ~(np.isfinite(traj.s_hat).all(axis=0) & np.isfinite(traj.i_hat).all(axis=0))
     if bad.any():
@@ -160,9 +152,9 @@ def objective_and_gradient(
     simulated under ``x``; it spares the forward sweep and leaves the
     result unchanged. The gradient is computed by a reverse sweep
     through the Heun steps (discrete adjoint), which differentiates the
-    discretized objective exactly, the state-dependent dose terms of the
-    ``"dose"`` functional included; a finite-difference cross-check is
-    available via :func:`finite_difference_gradient`.
+    discretized objective exactly, state-dependent cost terms included; a
+    finite-difference cross-check is available via
+    :func:`finite_difference_gradient`.
     """
     u, v = _split(problem, np.asarray(x, dtype=float))
     _, traj, breakdown = _forward(problem, u, v, trajectory)
@@ -173,7 +165,7 @@ def objective_and_gradient(
 
     gd, cg, params, grid = problem.gd, problem.cg, problem.params, problem.grid
     beta, gamma = params.beta, params.gamma
-    k_hat, q_hat, p_hat, xfrac = gd.k_hat, gd.q_hat, gd.p_hat, cg.x
+    k_hat, q_hat = gd.k_hat, gd.q_hat
     a = cg.assignment
     n, dt = grid.n_points, grid.dt
     w = grid.quadrature_weights()
@@ -189,18 +181,13 @@ def objective_and_gradient(
     theta_p = q_hat @ ip
 
     # node terms of the objective's state derivative: the infected fraction,
-    # plus the doses' derivatives under the dose functional, which also
-    # contribute direct per-group control derivatives
-    node_i = np.outer(p_hat, w)
-    node_s = None
+    # plus the control cost's own state terms, if it has any
+    node_s, cost_i, du, dv = _cost_gradient(problem.cost, cg, u, v, traj, w)
+    node_i = np.outer(gd.p_hat, w)
+    if cost_i is not None:
+        node_i += cost_i
     g_u = np.zeros_like(u_z)  # per-group control gradients
     g_v = np.zeros_like(v_z)
-    if problem.cost.functional == "dose":
-        b2, c2 = 2.0 * problem.cost.b * p_hat[:, None], 2.0 * problem.cost.c * p_hat[:, None]
-        node_s = w * (b2 * u_z**2 * s)
-        node_i += w * (c2 * v_z**2 * i)
-        g_u += w * (b2 * u_z * s**2)
-        g_v += w * (c2 * v_z * i**2)
 
     # reverse sweep: lam = dJ/d(state at node n+1), objective node terms included
     lam_s = np.zeros(gd.n_groups) if node_s is None else node_s[:, -1].copy()
@@ -230,12 +217,10 @@ def objective_and_gradient(
         if node_s is not None:
             lam_s += node_s[:, step]
 
-    # collapse per-group rows onto the control groups (contiguous blocks)
-    g_u = np.add.reduceat(g_u, cg.starts, axis=0)
-    g_v = np.add.reduceat(g_v, cg.starts, axis=0)
-    if problem.cost.functional == "rate":  # direct quadratic-cost terms
-        g_u += 2.0 * problem.cost.b * xfrac[:, None] * u * w[None, :]
-        g_v += 2.0 * problem.cost.c * xfrac[:, None] * v * w[None, :]
+    # collapse per-group rows onto the control groups (contiguous blocks),
+    # then add the cost's direct derivatives
+    g_u = np.add.reduceat(g_u, cg.starts, axis=0) + du
+    g_v = np.add.reduceat(g_v, cg.starts, axis=0) + dv
     return j, np.concatenate([g_u.ravel(), g_v.ravel()])
 
 
@@ -272,23 +257,12 @@ def finite_difference_gradient(
 
 def _active(x, g, upper):
     """Variables held at a bound by the gradient (it points out of the box)."""
-    held = (x <= 0) & (g > 0)
-    if upper is not None:
-        held |= (x >= upper) & (g < 0)
-    return held
-
-
-def _projected_gradient(x, g, upper=None):
-    """Gradient with the components of bound-held variables zeroed."""
-    pg = g.copy()
-    pg[_active(x, g, upper)] = 0.0
-    return pg
+    return ((x <= 0) & (g > 0)) | ((x >= upper) & (g < 0))
 
 
 def _project(x, upper):
-    """Clip onto the box [0, upper] (upper None: nonnegativity only)."""
-    x = np.maximum(x, 0.0)
-    return x if upper is None else np.minimum(x, upper)
+    """Clip onto the box [0, upper]."""
+    return np.minimum(np.maximum(x, 0.0), upper)
 
 
 def optimize(
@@ -300,12 +274,12 @@ def optimize(
 
     Projected limited-memory quasi-Newton descent from ``initial`` (the
     constant beta/2, gamma/2 heuristic by default, clipped to the rate
-    bound of ``problem.cost``). Under a rate bound, variables held at a
-    bound are kept out of the quasi-Newton direction, as in projected
-    Newton methods. Stops when the projected gradient norm falls below
-    ``gradient_tol``, the relative objective decrease stays below
-    ``relative_decrease_tol`` for ``stall_iterations`` consecutive
-    iterations, or ``max_iterations`` is reached; a failed line search
+    bound of ``problem.cost``). Variables held at a bound are kept out of
+    the quasi-Newton direction, as in projected Newton methods (Bertsekas,
+    SIAM J. Control Optim. 20, 1982). Stops when the projected gradient
+    norm falls below ``gradient_tol``, the relative objective decrease
+    stays below ``relative_decrease_tol`` for ``stall_iterations``
+    consecutive iterations, or ``max_iterations`` is reached; a failed line search
     returns the best iterate found with ``converged=False``. The reported
     J never exceeds the initial J.
     """
@@ -314,7 +288,7 @@ def optimize(
         initial = constant_strategy(problem.params, problem.grid, m)
     if initial.n_control != m or initial.grid.n_points != n:
         raise ParameterError("initial schedule does not match the problem layout")
-    upper = _upper_bound(problem)
+    upper = problem.cost.rate_max
     x = _project(np.concatenate([initial.u.ravel(), initial.v.ravel()]), upper)
 
     _, traj, _ = _forward(problem, *_split(problem, x))
@@ -324,7 +298,8 @@ def optimize(
     stall = 0
     converged = False
     iterations = 0
-    pg = _projected_gradient(x, g, upper)
+    held = _active(x, g, upper)
+    pg = np.where(held, 0.0, g)  # the projected gradient
     pg_norm = float(np.linalg.norm(pg))
 
     for iterations in range(1, options.max_iterations + 1):
@@ -333,18 +308,16 @@ def optimize(
             iterations -= 1
             break
 
-        steepest = g if upper is None else pg
-        d = _lbfgs_direction(steepest, pairs)
-        if upper is not None:
-            # quasi-Newton step on the free variables; held ones stay at their bound
-            d[_active(x, g, upper)] = 0.0
-            if g @ d >= 0:  # the masked step is no longer a descent direction
-                d = -pg
+        # quasi-Newton step on the free variables; held ones stay at their bound
+        d = _lbfgs_direction(pg, pairs)
+        d[held] = 0.0
+        if g @ d >= 0:  # the masked step is no longer a descent direction
+            d = -pg
         accepted = _line_search(problem, x, j, g, d, options)
         if accepted is None and pairs:
             # curvature model misleading: drop it and retry with steepest descent
             pairs.clear()
-            accepted = _line_search(problem, x, j, g, -steepest, options)
+            accepted = _line_search(problem, x, j, g, -pg, options)
         if accepted is None:
             break
         x_new, j_new, traj = accepted
@@ -362,7 +335,8 @@ def optimize(
         stall = stall + 1 if decrease < options.relative_decrease_tol else 0
         x, j, g = x_new, j_new, g_new
         history.append(j)
-        pg = _projected_gradient(x, g, upper)
+        held = _active(x, g, upper)
+        pg = np.where(held, 0.0, g)
         pg_norm = float(np.linalg.norm(pg))
         if stall >= options.stall_iterations:
             converged = True
@@ -405,10 +379,9 @@ def _line_search(problem, x, j, g, d, options):
 
     Returns the accepted point, its objective and its trajectory, or None.
     """
-    upper = _upper_bound(problem)
     alpha = 1.0
     for _ in range(options.max_backtracks):
-        x_new = _project(x + alpha * d, upper)
+        x_new = _project(x + alpha * d, problem.cost.rate_max)
         step = x_new - x
         if step.any():
             _, traj, breakdown = _forward(problem, *_split(problem, x_new))
@@ -443,8 +416,8 @@ class SweepPoint:
 
 
 def improvement_percent(j_reference: float, j_optimal: float) -> float:
-    """Relative objective reduction (percent) against a reference strategy."""
-    return (j_reference - j_optimal) / j_reference * 100.0
+    """Relative objective reduction (percent) against a reference strategy; NaN if J_ref = 0."""
+    return (j_reference - j_optimal) / j_reference * 100.0 if j_reference != 0 else np.nan
 
 
 def sweep(
@@ -499,8 +472,3 @@ def sweep(
             rows.append(SweepPoint(float(value), error=str(exc)))
     return rows
 
-
-def write_history_csv(result: OptimizationResult, path) -> None:
-    """Per-iteration objective values as a two-column CSV."""
-    data = np.column_stack([np.arange(len(result.history)), result.history])
-    np.savetxt(path, data, delimiter=",", header="iteration,J", comments="")

@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epinetopt.cli import ExperimentConfig, main
+from epinetopt.cli import ExperimentConfig, main, write_history_csv
 from epinetopt.errors import ConfigError
 from epinetopt.network import read_distribution
+from epinetopt.optimizer import OptimizationProblem, optimize
 
 # Small instance so the optimizing subcommands stay fast.
 SMALL = [
@@ -72,6 +73,33 @@ class TestConfig:
             ExperimentConfig.from_file(None, ["cost.b=cheap"])
         with pytest.raises(ConfigError, match="grid.points"):
             ExperimentConfig.from_file(None, ["grid.points=3.5"])
+
+    @pytest.mark.parametrize("override", ["cost.b=-1", "epidemic.i0=1.5", "solver.memory=-3"])
+    def test_out_of_range_names_field(self, override):
+        with pytest.raises(ConfigError, match=override.partition("=")[0]):
+            ExperimentConfig.from_file(None, [override])
+
+    def test_kind_override_drops_file_network_keys(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[network]\nkind = power_law\nalpha = 2.0\nk_min = 6\nk_max = 105\n")
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "-c", str(path), "--output", str(out),
+            "--set", "network.kind=poisson", "--set", "grid.points=201",
+        ])
+        assert code == 0
+        text = (out / "effective_config.ini").read_text()
+        assert "[network]\nkind = poisson\nlambda = 17.5\nk_min = 1\nk_max = 45\n" in text
+        # in any order, the overrides themselves are kept
+        cfg = ExperimentConfig.from_file(path, ["network.k_max=40", "network.kind=poisson"])
+        assert (cfg.network_kind, cfg.lam, cfg.k_min, cfg.k_max) == ("poisson", 17.5, 1, 40)
+
+    def test_file_mixing_kinds_rejected(self, tmp_path):
+        path = tmp_path / "mixed.ini"
+        path.write_text("[network]\nkind = poisson\nalpha = 2.0\n")
+        for overrides in ([], ["network.kind=poisson"]):
+            with pytest.raises(ConfigError, match="network.alpha"):
+                ExperimentConfig.from_file(path, overrides)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategies"):
@@ -199,6 +227,40 @@ class TestOtherCommands:
         assert "J = 0.0" in (tmp_path / "summary.txt").read_text()
         assert "no_resources" in (tmp_path / "allocation.csv").read_text()
 
+    def test_zero_seed_compare_reports_nan_improvement(self, tmp_path):
+        # doing nothing costs J = 0 with no one infected; no improvement over it exists
+        code = main(["compare", "--output", str(tmp_path), *SMALL, "--set", "epidemic.i0=0"])
+        assert code == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        values = dict(line.split(" = ", 1) for line in lines if " = " in line)
+        assert values["optimal_vs_none_percent"] == "nan"
+        assert np.isfinite(float(values["optimal_vs_constant_percent"]))
+
+    def test_zero_seed_sweep_reports_nan_improvement(self, tmp_path):
+        code = main([
+            "sweep", "--output", str(tmp_path), *SMALL, "--set", "epidemic.i0=0",
+            "--parameter", "b", "--values", "0.25",
+        ])
+        assert code == 0
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["J_none"] == "0.0"
+        assert cells["improvement_over_none"] == "nan"
+        assert cells["error"] == ""
+
+    def test_history_csv_round_trip(self, tmp_path):
+        cfg = ExperimentConfig.from_file(None, SMALL[1::2])
+        _, gd, cg = cfg.build()
+        res = optimize(OptimizationProblem(gd, cg, cfg.params, cfg.cost, cfg.grid))
+        path = tmp_path / "history.csv"
+        write_history_csv(res, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "iteration,J"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape[0] == len(res.history)
+        npt.assert_allclose(data[:, 1], res.history)
+        assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
     def test_group_error_table(self, tmp_path):
         code = main([
             "group-error", "--output", str(tmp_path), *SMALL,
@@ -246,6 +308,16 @@ class TestOtherCommands:
         assert "nodes = 3" in stdout and "self_loops_dropped = 1" in stdout
         dist = read_distribution(out)
         assert (dist.k_min, dist.k_max) == (2, 2)
+
+    def test_ingest_keep_duplicates_rejects_repeated_edge(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2 1\n")
+        out = tmp_path / "dist.txt"
+        assert main(["ingest", "--input", str(edges), "--output", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["ingest", "--input", str(edges), "--output", str(out), "--keep-duplicates"])
+        assert code == 3
+        assert "duplicate edge" in capsys.readouterr().err
 
     def test_ingest_malformed_edge_list(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

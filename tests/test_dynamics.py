@@ -14,7 +14,6 @@ import pytest
 from epinetopt.dynamics import (
     EpidemicParams,
     TimeGrid,
-    aggregate,
     cumulative_infected,
     simulate_full,
     simulate_grouped,
@@ -282,21 +281,19 @@ class TestSimulateGrouped:
 class TestAggregate:
     def test_single_group_passthrough(self):
         gd = grouped_stats(PL2, Grouping(np.array([0, PL2.n_classes])))
-        s_hat = np.array([[0.9, 0.8]])
-        i_hat = np.array([[0.05, 0.1]])
-        s, i, r = aggregate(s_hat, i_hat, gd)
-        npt.assert_allclose(s, [0.9, 0.8])
-        npt.assert_allclose(i, [0.05, 0.1])
-        npt.assert_allclose(r, 1.0 - s - i)
+        traj = simulate_grouped(gd, None, None, DEFAULTS, TimeGrid(51, 20.0))
+        npt.assert_allclose(traj.s, traj.s_hat[0], rtol=1e-12)
+        npt.assert_allclose(traj.i, traj.i_hat[0], rtol=1e-12)
+        npt.assert_allclose(traj.r, 1.0 - traj.s - traj.i)
 
     def test_uniform_states_average_to_common_value(self):
+        # every group starts at (1 - i0, i0), so the aggregates start there too
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
-        s_hat = np.full((21, 4), 0.6)
-        i_hat = np.full((21, 4), 0.3)
-        s, i, r = aggregate(s_hat, i_hat, gd)
-        npt.assert_allclose(s, 0.6, atol=1e-12)
-        npt.assert_allclose(i, 0.3, atol=1e-12)
-        npt.assert_allclose(r, 0.1, atol=1e-12)
+        traj = simulate_grouped(gd, None, None, DEFAULTS, TimeGrid(51, 20.0))
+        npt.assert_allclose(traj.s[0], 0.99, atol=1e-12)
+        npt.assert_allclose(traj.i[0], 0.01, atol=1e-12)
+        npt.assert_allclose(traj.r[0], 0.0, atol=1e-12)
+        npt.assert_allclose(traj.i, gd.p_hat @ traj.i_hat, rtol=1e-14)
 
 
 class TestQuadratureAndExport:

@@ -1,0 +1,51 @@
+"""The package modules import one another in one direction only.
+
+Each module may import only from modules earlier in ``LAYERS``. Every
+import is checked, including those inside functions; imports under
+``if TYPE_CHECKING:`` are for annotations only and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import epinetopt
+
+LAYERS = ("errors", "network", "grouping", "dynamics", "control", "optimizer", "cli")
+PACKAGE = Path(epinetopt.__file__).resolve().parent
+
+
+def _is_type_checking(test):
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def imported_modules(node):
+    """Package modules imported anywhere under ``node``, outside TYPE_CHECKING blocks."""
+    if isinstance(node, ast.If) and _is_type_checking(node.test):
+        children = node.orelse
+    else:
+        children = ast.iter_child_nodes(node)
+    if isinstance(node, ast.ImportFrom):
+        if node.level:  # from .x import y, or from . import x
+            yield from [node.module.split(".")[0]] if node.module else (a.name for a in node.names)
+        elif (node.module or "").startswith("epinetopt."):
+            yield node.module.split(".")[1]
+    elif isinstance(node, ast.Import):
+        yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("epinetopt."))
+    for child in children:
+        yield from imported_modules(child)
+
+
+def test_layers_cover_the_package():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_only_earlier_layers(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    later = set(LAYERS[LAYERS.index(module):])
+    assert sorted(set(imported_modules(tree)) & later) == []

@@ -31,7 +31,6 @@ from epinetopt.optimizer import (
     objective_and_gradient,
     optimize,
     sweep,
-    write_history_csv,
 )
 
 from dosing import dosed_coordinates
@@ -79,7 +78,7 @@ class TestObjective:
         npt.assert_array_equal(g_given, g)
 
     def test_zero_schedule_objective_is_cumulative_infected(self):
-        j, _ = objective_and_gradient(PROBLEM, np.zeros(PROBLEM.n_variables))
+        j, _ = objective_and_gradient(PROBLEM, np.zeros(2 * 3 * GRID.n_points))
         traj = simulate_grouped(GD, CG, None, DEFAULTS, GRID)
         npt.assert_allclose(j, cumulative_infected(traj), rtol=1e-12)
 
@@ -278,13 +277,3 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None
         assert np.isnan(rows[1].J_optimal)
-
-    def test_history_csv_round_trip(self, tmp_path):
-        res = optimize(SMALL)
-        path = tmp_path / "history.csv"
-        write_history_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,J"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape[0] == len(res.history)
-        npt.assert_allclose(data[:, 1], res.history)
