@@ -58,19 +58,17 @@ from .grouping import (
 from .network import (
     DegreeDistribution,
     EdgeListStats,
+    format_distribution,
     from_edge_list,
     load_edge_list,
     poisson_distribution,
     power_law_distribution,
     read_distribution,
-    write_distribution,
 )
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
-    OptimizerOptions,
     SweepPoint,
-    finite_difference_gradient,
     improvement_percent,
     objective_and_gradient,
     optimize,
@@ -96,7 +94,7 @@ __all__ = [
     "from_edge_list",
     "load_edge_list",
     "read_distribution",
-    "write_distribution",
+    "format_distribution",
     # grouping
     "Grouping",
     "GroupedDistribution",
@@ -125,10 +123,8 @@ __all__ = [
     # optimizer
     "OptimizationProblem",
     "OptimizationResult",
-    "OptimizerOptions",
     "SweepPoint",
     "objective_and_gradient",
-    "finite_difference_gradient",
     "optimize",
     "sweep",
     "improvement_percent",

@@ -2,7 +2,8 @@
 
 A single INI-style config file describes an experiment end to end:
 network model, degree grouping, epidemic parameters, cost weights,
-time grid, solver settings, and which strategies to run. Each
+time grid, and which strategies to run. The solver's stop rule is fixed
+(see :func:`~epinetopt.optimizer.optimize`), so no config sets it. Each
 subcommand turns that description into plot-ready CSV tables plus a
 structured text summary. Outputs are deterministic, written atomically
 (write to a sibling temp file, then rename), and the effective config —
@@ -53,17 +54,16 @@ from .errors import (
 from .grouping import amass_control_groups, grouped_stats, partition_equal_mass
 from .network import (
     DegreeDistribution,
+    format_distribution,
     from_edge_list,
     load_edge_list,
     poisson_distribution,
     power_law_distribution,
     read_distribution,
-    write_distribution,
 )
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
-    OptimizerOptions,
     SweepPoint,
     improvement_percent,
     optimize,
@@ -95,7 +95,6 @@ _FIELDS = {
     "epidemic": {"beta": 0.5, "gamma": 0.25, "i0": 0.01, "duration": 20.0},
     "cost": {"b": 0.25, "c": 0.5},
     "grid": {"points": DEFAULT_GRID_POINTS},
-    "solver": asdict(OptimizerOptions()),
     "run": {"strategies": "optimal, constant, none", "output": "out"},
 }
 
@@ -104,30 +103,24 @@ _FIELDS = {
 class ExperimentConfig:
     """Validated experiment description with every default filled in.
 
-    ``network_kind`` selects how the degree distribution is built:
-    ``power_law`` (exponent ``alpha``), ``poisson`` (mean ``lam``), or
-    one of the file-backed kinds ``distribution`` / ``edge_list`` that
-    read ``network_path``. The remaining fields mirror the config file
-    sections one to one.
+    ``network`` holds the ``[network]`` section: its ``kind`` and that
+    kind's own fields, ``power_law`` (``alpha``, ``k_min``, ``k_max``),
+    ``poisson`` (``lambda``, ``k_min``, ``k_max``), or one of the
+    file-backed kinds ``distribution`` / ``edge_list`` (``path``). The
+    remaining fields mirror the config file sections one to one.
     """
 
-    network_kind: str
-    alpha: float | None
-    lam: float | None
-    k_min: int | None
-    k_max: int | None
-    network_path: str | None
+    network: dict
     n_groups: int
     n_control: int
     params: EpidemicParams
     cost: CostParams
     grid: TimeGrid
-    solver: OptimizerOptions
     strategies: tuple[str, ...]
     output_dir: str
 
     def __post_init__(self):
-        _check_kind(self.network_kind)
+        _check_kind(self.network["kind"])
         if not self.strategies:
             raise ConfigError("run.strategies: at least one strategy is required")
         for name in self.strategies:
@@ -181,24 +174,22 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config section [{section}]")
         kind = cp.get("network", "kind", fallback="power_law").strip().lower()
         _check_kind(kind)
-        net = _read(cp, "network", _network_fields(kind))
+        network = {**_read(cp, "network", _network_fields(kind)), "kind": kind}
         values = {section: _read(cp, section, fields) for section, fields in _FIELDS.items()}
         params = _from_section("epidemic", EpidemicParams, values)
+        try:
+            grid = TimeGrid(values["grid"]["points"], params.duration)
+        except ParameterError as exc:
+            raise ConfigError(f"grid.points: {exc}") from None
         run = values["run"]
         names = [s.strip().lower() for s in run["strategies"].split(",") if s.strip()]
         return cls(
-            network_kind=kind,
-            alpha=net.get("alpha"),
-            lam=net.get("lambda"),
-            k_min=net.get("k_min"),
-            k_max=net.get("k_max"),
-            network_path=net.get("path"),
+            network=network,
             n_groups=values["grouping"]["z"],
             n_control=values["grouping"]["m"],
             params=params,
             cost=_from_section("cost", CostParams, values),
-            grid=TimeGrid(values["grid"]["points"], params.duration),
-            solver=_from_section("solver", OptimizerOptions, values),
+            grid=grid,
             strategies=tuple(dict.fromkeys(names)),
             output_dir=run["output"],
         )
@@ -210,18 +201,15 @@ class ExperimentConfig:
         an identical config (floats are written with ``repr`` so no
         precision is lost).
         """
-        network = {"kind": self.network_kind, "alpha": self.alpha, "lambda": self.lam,
-                   "k_min": self.k_min, "k_max": self.k_max, "path": self.network_path}
         values = {
-            "network": network,
+            "network": self.network,
             "grouping": {"z": self.n_groups, "m": self.n_control},
             "epidemic": asdict(self.params),
             "cost": asdict(self.cost),
             "grid": {"points": self.grid.n_points},
-            "solver": asdict(self.solver),
             "run": {"strategies": ", ".join(self.strategies), "output": self.output_dir},
         }
-        schema = {"network": _network_fields(self.network_kind), **_FIELDS}
+        schema = {"network": _network_fields(self.network["kind"]), **_FIELDS}
         blocks = [
             "\n".join([f"[{section}]"]
                       + [f"{key} = {_format(values[section][key])}" for key in fields])
@@ -231,13 +219,14 @@ class ExperimentConfig:
 
     def build_distribution(self) -> DegreeDistribution:
         """Construct the degree distribution described by the network section."""
-        if self.network_kind == "power_law":
-            return power_law_distribution(self.alpha, self.k_min, self.k_max)
-        if self.network_kind == "poisson":
-            return poisson_distribution(self.lam, self.k_min, self.k_max)
-        if self.network_kind == "distribution":
-            return read_distribution(self.network_path)
-        dist, _ = from_edge_list(load_edge_list(self.network_path))
+        net = self.network
+        if net["kind"] == "power_law":
+            return power_law_distribution(net["alpha"], net["k_min"], net["k_max"])
+        if net["kind"] == "poisson":
+            return poisson_distribution(net["lambda"], net["k_min"], net["k_max"])
+        if net["kind"] == "distribution":
+            return read_distribution(net["path"])
+        dist, _ = from_edge_list(load_edge_list(net["path"]))
         return dist
 
     def build(self):
@@ -352,7 +341,7 @@ class StrategyOutcome:
 def _run_strategy(name: str, config: ExperimentConfig, gd, cg) -> StrategyOutcome:
     if name == "optimal":
         problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
-        result = optimize(problem, options=config.solver)
+        result = optimize(problem)
         return StrategyOutcome(name, result.schedule, result.trajectory, result.breakdown, result)
     if name == "constant":
         schedule = constant_strategy(config.params, config.grid, cg.n_control)
@@ -365,7 +354,7 @@ def _run_strategy(name: str, config: ExperimentConfig, gd, cg) -> StrategyOutcom
 def _summary_text(config, dist, gd, cg, outcomes) -> str:
     lines = [
         "[network]",
-        f"kind = {config.network_kind}",
+        f"kind = {config.network['kind']}",
         f"degree_range = {dist.k_min}-{dist.k_max}",
         f"classes = {dist.n_classes}",
         f"mean_degree = {_format(dist.mean_degree)}",
@@ -499,7 +488,7 @@ def run_sweep(config: ExperimentConfig, parameter: str, values):
     """
     _, gd, cg = config.build()
     problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
-    points = sweep(problem, parameter, values, config.solver)
+    points = sweep(problem, parameter, values)
     rows = [["" if cell is None else cell for cell in astuple(p)] for p in points]
     os.makedirs(config.output_dir, exist_ok=True)
     _write_table(
@@ -566,9 +555,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ingest(args) -> int:
     edges = load_edge_list(args.input)
     dist, stats = from_edge_list(edges, dedupe=not args.keep_duplicates)
-    tmp = args.output + ".tmp"
-    write_distribution(dist, tmp)
-    os.replace(tmp, args.output)
+    _atomic_write(args.output, format_distribution(dist))
     print(f"nodes = {stats.n_nodes}")
     print(f"edges = {stats.n_edges}")
     print(f"mean_degree = {_format(stats.mean_degree)}")

@@ -109,13 +109,16 @@ class Trajectory:
 
     s_hat: np.ndarray
     i_hat: np.ndarray
-    r_hat: np.ndarray
     s: np.ndarray
     i: np.ndarray
     r: np.ndarray
     grid: TimeGrid
     clamp_events: int = 0
     p_hat: np.ndarray | None = None
+
+    @property
+    def r_hat(self) -> np.ndarray:
+        return 1.0 - self.s_hat - self.i_hat
 
 
 def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
@@ -157,7 +160,7 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     # population aggregates: s = sum_z p_hat_z s_z, likewise i; r = 1 - s - i
     s_agg, i_agg = gd.p_hat @ s, gd.p_hat @ i
     return Trajectory(
-        s_hat=s, i_hat=i, r_hat=1.0 - s - i, s=s_agg, i=i_agg, r=1.0 - s_agg - i_agg,
+        s_hat=s, i_hat=i, s=s_agg, i=i_agg, r=1.0 - s_agg - i_agg,
         grid=grid, clamp_events=clamp_events, p_hat=gd.p_hat,
     )
 

@@ -22,7 +22,7 @@ __all__ = [
     "power_law_distribution",
     "from_edge_list",
     "load_edge_list",
-    "write_distribution",
+    "format_distribution",
     "read_distribution",
 ]
 
@@ -236,16 +236,15 @@ def load_edge_list(path) -> list[tuple[str, str]]:
     return edges
 
 
-def write_distribution(dist: DegreeDistribution, path) -> None:
-    """Write ``degree probability`` lines, full precision for exact round trips."""
-    with open(path, "w") as fh:
-        fh.write("# degree probability\n")
-        for k, p in zip(dist.degrees, dist.pmf):
-            fh.write(f"{k} {float(p)!r}\n")
+def format_distribution(dist: DegreeDistribution) -> str:
+    """``degree probability`` lines, full precision for exact round trips."""
+    return "# degree probability\n" + "".join(
+        f"{k} {float(p)!r}\n" for k, p in zip(dist.degrees, dist.pmf)
+    )
 
 
 def read_distribution(path) -> DegreeDistribution:
-    """Read the two-column text format written by :func:`write_distribution`."""
+    """Read the two-column text format of :func:`format_distribution`."""
     degrees, probs = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -42,13 +42,22 @@ from .grouping import ControlGroups, GroupedDistribution
 __all__ = [
     "OptimizationProblem",
     "OptimizationResult",
-    "OptimizerOptions",
     "SweepPoint",
     "objective_and_gradient",
-    "finite_difference_gradient",
     "optimize",
     "sweep",
 ]
+
+# Stopping rules and line-search settings of optimize. The memory and the
+# Armijo constant are the textbook L-BFGS values (Nocedal & Wright,
+# Numerical Optimization, 2nd ed., 2006, ch. 3 and 7).
+_GRADIENT_TOL = 1e-6  # projected-gradient norm that counts as converged
+_RELATIVE_DECREASE_TOL = 1e-9  # a smaller relative decrease is a stalled iteration
+_STALL_ITERATIONS = 5  # consecutive stalled iterations that count as converged
+_MAX_ITERATIONS = 2000
+_MEMORY = 10  # curvature pairs kept by L-BFGS
+_ARMIJO_C1 = 1e-4
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -72,29 +81,6 @@ class OptimizationProblem:
                 f"epidemic duration {self.params.duration} does not match "
                 f"grid duration {self.grid.duration}"
             )
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Stopping rules and line-search settings of :func:`optimize`."""
-
-    gradient_tol: float = 1e-6
-    relative_decrease_tol: float = 1e-9
-    stall_iterations: int = 5
-    max_iterations: int = 2000
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 50
-
-    def __post_init__(self):
-        for name in ("stall_iterations", "max_iterations", "memory", "max_backtracks"):
-            if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}", name)
-        for name in ("gradient_tol", "relative_decrease_tol"):
-            if not (getattr(self, name) >= 0 and np.isfinite(getattr(self, name))):
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}", name)
-        if not 0 < self.armijo_c1 < 1:
-            raise ParameterError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}", "armijo_c1")
 
 
 @dataclass(frozen=True)
@@ -152,9 +138,7 @@ def objective_and_gradient(
     simulated under ``x``; it spares the forward sweep and leaves the
     result unchanged. The gradient is computed by a reverse sweep
     through the Heun steps (discrete adjoint), which differentiates the
-    discretized objective exactly, state-dependent cost terms included; a
-    finite-difference cross-check is available via
-    :func:`finite_difference_gradient`.
+    discretized objective exactly, state-dependent cost terms included.
     """
     u, v = _split(problem, np.asarray(x, dtype=float))
     _, traj, breakdown = _forward(problem, u, v, trajectory)
@@ -224,37 +208,6 @@ def objective_and_gradient(
     return j, np.concatenate([g_u.ravel(), g_v.ravel()])
 
 
-def finite_difference_gradient(
-    problem: OptimizationProblem,
-    x: np.ndarray,
-    indices=None,
-    relative_step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient components, for cross-validation.
-
-    Returns the derivative at each requested index (all of them by
-    default) with step ``relative_step * max(|x_i|, 1)``. Points must be
-    far enough from the boundary that both side evaluations stay valid.
-    """
-    x = np.asarray(x, dtype=float)
-    if indices is None:
-        indices = np.arange(x.size)
-    out = np.empty(len(indices))
-    for row, idx in enumerate(indices):
-        h = relative_step * max(abs(x[idx]), 1.0)
-        for sign in (+1, -1):
-            xs = x.copy()
-            xs[idx] += sign * h
-            u, v = _split(problem, xs)
-            j = _forward(problem, u, v)[2].J
-            if sign > 0:
-                j_plus = j
-            else:
-                j_minus = j
-        out[row] = (j_plus - j_minus) / (2 * h)
-    return out
-
-
 def _active(x, g, upper):
     """Variables held at a bound by the gradient (it points out of the box)."""
     return ((x <= 0) & (g > 0)) | ((x >= upper) & (g < 0))
@@ -268,7 +221,6 @@ def _project(x, upper):
 def optimize(
     problem: OptimizationProblem,
     initial: ControlSchedule | None = None,
-    options: OptimizerOptions = OptimizerOptions(),
 ) -> OptimizationResult:
     """Minimize the objective over control schedules within the rate bound.
 
@@ -277,11 +229,10 @@ def optimize(
     bound of ``problem.cost``). Variables held at a bound are kept out of
     the quasi-Newton direction, as in projected Newton methods (Bertsekas,
     SIAM J. Control Optim. 20, 1982). Stops when the projected gradient
-    norm falls below ``gradient_tol``, the relative objective decrease
-    stays below ``relative_decrease_tol`` for ``stall_iterations``
-    consecutive iterations, or ``max_iterations`` is reached; a failed line search
-    returns the best iterate found with ``converged=False``. The reported
-    J never exceeds the initial J.
+    norm falls below 1e-6, after 5 consecutive iterations with a relative
+    objective decrease below 1e-9, or at 2000 iterations; a failed line
+    search returns the best iterate found with ``converged=False``. The
+    reported J never exceeds the initial J.
     """
     m, n = problem.cg.n_control, problem.grid.n_points
     if initial is None:
@@ -302,8 +253,8 @@ def optimize(
     pg = np.where(held, 0.0, g)  # the projected gradient
     pg_norm = float(np.linalg.norm(pg))
 
-    for iterations in range(1, options.max_iterations + 1):
-        if pg_norm < options.gradient_tol:
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        if pg_norm < _GRADIENT_TOL:
             converged = True
             iterations -= 1
             break
@@ -313,11 +264,11 @@ def optimize(
         d[held] = 0.0
         if g @ d >= 0:  # the masked step is no longer a descent direction
             d = -pg
-        accepted = _line_search(problem, x, j, g, d, options)
+        accepted = _line_search(problem, x, j, g, d)
         if accepted is None and pairs:
             # curvature model misleading: drop it and retry with steepest descent
             pairs.clear()
-            accepted = _line_search(problem, x, j, g, -pg, options)
+            accepted = _line_search(problem, x, j, g, -pg)
         if accepted is None:
             break
         x_new, j_new, traj = accepted
@@ -328,21 +279,21 @@ def optimize(
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > options.memory:
+            if len(pairs) > _MEMORY:
                 pairs.pop(0)
 
         decrease = (j - j_new) / max(1.0, abs(j_new))
-        stall = stall + 1 if decrease < options.relative_decrease_tol else 0
+        stall = stall + 1 if decrease < _RELATIVE_DECREASE_TOL else 0
         x, j, g = x_new, j_new, g_new
         history.append(j)
         held = _active(x, g, upper)
         pg = np.where(held, 0.0, g)
         pg_norm = float(np.linalg.norm(pg))
-        if stall >= options.stall_iterations:
+        if stall >= _STALL_ITERATIONS:
             converged = True
             break
     else:
-        iterations = options.max_iterations
+        iterations = _MAX_ITERATIONS
 
     schedule, _, breakdown = _forward(problem, *_split(problem, x), traj)
     return OptimizationResult(
@@ -374,13 +325,13 @@ def _lbfgs_direction(g, pairs):
     return -q
 
 
-def _line_search(problem, x, j, g, d, options):
+def _line_search(problem, x, j, g, d):
     """Backtracking Armijo search along the projected arc x(a) = P(x + a d).
 
     Returns the accepted point, its objective and its trajectory, or None.
     """
     alpha = 1.0
-    for _ in range(options.max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         x_new = _project(x + alpha * d, problem.cost.rate_max)
         step = x_new - x
         if step.any():
@@ -388,7 +339,7 @@ def _line_search(problem, x, j, g, d, options):
             j_new = breakdown.J
             if not np.isfinite(j_new):
                 raise NumericalFailureError("objective is not finite in line search")
-            if j_new <= j + options.armijo_c1 * float(g @ step):
+            if j_new <= j + _ARMIJO_C1 * float(g @ step):
                 return x_new, j_new, traj
         alpha *= 0.5
     return None
@@ -424,13 +375,13 @@ def sweep(
     problem: OptimizationProblem,
     name: str,
     values,
-    options: OptimizerOptions = OptimizerOptions(),
 ) -> list[SweepPoint]:
     """Optimize at each parameter value and compare with the heuristics.
 
     ``name`` selects the swept parameter: the spreading rate ``beta`` or
-    one of the cost weights ``b``, ``c``. Per-point failures are recorded
-    in the returned row and the sweep continues.
+    one of the cost weights ``b``, ``c``. Every point is solved by
+    :func:`optimize` under its fixed stop rule. Per-point failures are
+    recorded in the returned row and the sweep continues.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
@@ -441,7 +392,7 @@ def sweep(
                 variant = replace(problem, params=replace(problem.params, beta=float(value)))
             else:
                 variant = replace(problem, cost=replace(problem.cost, **{name: float(value)}))
-            res = optimize(variant, options=options)
+            res = optimize(variant)
             const, none = (
                 evaluate_cost(
                     simulate_grouped(variant.gd, variant.cg, sched, variant.params, variant.grid),

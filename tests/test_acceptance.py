@@ -36,7 +36,6 @@ from epinetopt import (
     constant_strategy,
     cumulative_infected,
     evaluate_cost,
-    finite_difference_gradient,
     from_edge_list,
     grouped_stats,
     grouping_error,
@@ -52,7 +51,7 @@ from epinetopt import (
     zero_strategy,
 )
 
-from dosing import dosed_coordinates
+from dosing import dosed_coordinates, finite_difference_gradient
 
 PL2 = power_law_distribution(2.0, 6, 105)
 ER = poisson_distribution(17.5, 1, 45)

@@ -2,15 +2,19 @@
 
 Each module may import only from modules earlier in ``LAYERS``. Every
 import is checked, including those inside functions; imports under
-``if TYPE_CHECKING:`` are for annotations only and are skipped.
+``if TYPE_CHECKING:`` are for annotations only and are skipped. The
+benchmark's tracer wraps the cross-module calls by the names the calling
+modules look up, so those names are checked to resolve as well.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import epinetopt
+import epinetopt.cli
 
 LAYERS = ("errors", "network", "grouping", "dynamics", "control", "optimizer", "cli")
 PACKAGE = Path(epinetopt.__file__).resolve().parent
@@ -49,3 +53,18 @@ def test_imports_only_earlier_layers(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     later = set(LAYERS[LAYERS.index(module):])
     assert sorted(set(imported_modules(tree)) & later) == []
+
+
+def test_benchmark_tracer_names_resolve():
+    path = PACKAGE.parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    original = epinetopt.cli.optimize
+    recorder = tracer.Tracer("layering")
+    try:
+        tracer.install(recorder)  # raises AttributeError on a renamed or dropped name
+        assert epinetopt.cli.optimize is not original
+    finally:
+        recorder.uninstall()
+    assert epinetopt.cli.optimize is original

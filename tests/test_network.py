@@ -19,8 +19,8 @@ from epinetopt.network import (
     load_edge_list,
     poisson_distribution,
     power_law_distribution,
+    format_distribution,
     read_distribution,
-    write_distribution,
 )
 
 
@@ -206,7 +206,7 @@ class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         dist = power_law_distribution(2.0, 6, 105)
         path = tmp_path / "dist.txt"
-        write_distribution(dist, path)
+        path.write_text(format_distribution(dist))
         back = read_distribution(path)
         assert back.k_min == dist.k_min and back.k_max == dist.k_max
         npt.assert_array_equal(back.pmf, dist.pmf)
@@ -214,7 +214,7 @@ class TestSerialization:
     def test_round_trip_with_interior_zeros(self, tmp_path):
         dist = DegreeDistribution(2, 5, np.array([0.25, 0.0, 0.0, 0.75]))
         path = tmp_path / "dist.txt"
-        write_distribution(dist, path)
+        path.write_text(format_distribution(dist))
         back = read_distribution(path)
         npt.assert_array_equal(back.pmf, dist.pmf)
 

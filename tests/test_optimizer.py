@@ -25,15 +25,13 @@ from epinetopt.grouping import amass_control_groups, grouped_stats, partition_eq
 from epinetopt.network import DegreeDistribution, power_law_distribution
 from epinetopt.optimizer import (
     OptimizationProblem,
-    OptimizerOptions,
-    finite_difference_gradient,
     improvement_percent,
     objective_and_gradient,
     optimize,
     sweep,
 )
 
-from dosing import dosed_coordinates
+from dosing import dosed_coordinates, finite_difference_gradient
 
 PL2 = power_law_distribution(2.0, 6, 105)
 DEFAULTS = EpidemicParams(beta=0.5, gamma=0.25, i0=0.01, duration=20.0)
@@ -219,13 +217,13 @@ class TestOptimize:
         gd = grouped_stats(dist, partition_equal_mass(dist, 1))
         cg = amass_control_groups(gd, 1)
         prob = OptimizationProblem(gd, cg, DEFAULTS, CostParams(0.25, 0.5), TimeGrid(401, 20.0))
-        opts = OptimizerOptions(relative_decrease_tol=0.0)
-        res = optimize(prob, options=opts)
+        res = optimize(prob)
         assert res.converged
         assert res.gradient_norm < 1e-6
 
-    def test_max_iterations_respected(self):
-        res = optimize(PROBLEM, options=OptimizerOptions(max_iterations=1))
+    def test_max_iterations_respected(self, monkeypatch):
+        monkeypatch.setattr(epinetopt.optimizer, "_MAX_ITERATIONS", 1)
+        res = optimize(PROBLEM)
         assert res.iterations <= 1
         assert len(res.history) <= 2
 
