@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EpidemicParams, TimeGrid, Trajectory
-from .errors import ParameterError
+from .errors import ParameterError, fp_checked
 from .grouping import ControlGroups
 
 __all__ = [
@@ -192,6 +192,7 @@ def _cost_gradient(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory, 
     return ku * u[a], kv * v[a], np.add.reduceat(ku * s, starts), np.add.reduceat(kv * i, starts)
 
 
+@fp_checked
 def evaluate_cost(
     traj: Trajectory,
     schedule: ControlSchedule,

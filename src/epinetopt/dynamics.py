@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution, Grouping, grouped_stats, partition_equal_mass
 from .network import DegreeDistribution
 
@@ -165,6 +165,7 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     )
 
 
+@fp_checked
 def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGrid) -> Trajectory:
     """Integrate the uncontrolled epidemic over every degree class.
 
@@ -175,6 +176,7 @@ def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGr
     return _integrate(grouped_stats(dist, identity), params, grid)
 
 
+@fp_checked
 def simulate_grouped(
     gd: GroupedDistribution,
     cg: ControlGroups | None,

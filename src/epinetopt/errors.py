@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import functools
+import warnings
+
 
 class EpinetoptError(Exception):
     """Base class for all package errors."""
@@ -27,3 +30,24 @@ class NumericalFailureError(EpinetoptError):
 
 class ConfigError(EpinetoptError):
     """An experiment configuration is invalid."""
+
+
+def fp_checked(func):
+    """Raise floating-point overflow and invalid values inside ``func`` as
+    :class:`NumericalFailureError` instead of warning and going on.
+
+    NumPy's warnings are turned into errors, not its error state: under any
+    ``np.errstate`` every small-array ufunc call is a few percent slower. Like
+    ``warnings.catch_warnings``, the filter is process-wide while ``func`` runs.
+    """
+
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "(overflow|invalid value) encountered", RuntimeWarning)
+            try:
+                return func(*args, **kwargs)
+            except RuntimeWarning as exc:
+                raise NumericalFailureError(f"{func.__name__}: floating-point {exc}") from exc
+
+    return checked

@@ -4,11 +4,18 @@ Provides the synthetic generators (truncated Poisson for Erdos-Renyi-like
 networks, truncated power law for scale-free ones), ingestion of empirical
 edge lists, and a plain-text serialization format (`degree probability`
 per line).
+
+Edge-list files hold one undirected edge per line: two node ids separated
+by ASCII whitespace (spaces or tabs; LF or CRLF line endings). ``#``
+starts a comment that runs to the end of the line, and blank lines are
+skipped. Ids are compared as raw byte tokens, so ``01`` and ``1`` are
+two nodes and UTF-8 ids are taken as they are. NUL bytes are rejected.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,12 +176,14 @@ def from_edge_list(edges, dedupe: bool = True) -> tuple[DegreeDistribution, Edge
 
     Parameters
     ----------
-    edges : iterable of (node, node) pairs
-        Node identifiers are opaque hashable tokens.
+    edges : (E, 2) array-like of node ids
+        Ids are compared after ``np.asarray``, by their bytes, so a list
+        that mixes ``1`` and ``"1"`` names one node while ``"01"`` and
+        ``"1"`` name two.
     dedupe : bool
         When True (default), self-loops are dropped and repeated edges
-        (in either orientation) are counted once. When False their
-        presence is an error.
+        (in either orientation) are counted once. When False the first
+        one in list order is an error.
 
     Returns
     -------
@@ -182,58 +191,69 @@ def from_edge_list(edges, dedupe: bool = True) -> tuple[DegreeDistribution, Edge
         The normalized degree histogram (degree-0 nodes excluded, so the
         epidemic model sees only connected nodes) and ingestion counters.
     """
-    seen: set[frozenset] = set()
-    degree: dict = {}
-    n_self, n_dup = 0, 0
-    for a, b in edges:
-        if a == b:
-            if not dedupe:
-                raise IngestionError(f"self-loop at node {a!r}")
-            n_self += 1
-            continue
-        key = frozenset((a, b))
-        if key in seen:
-            if not dedupe:
-                raise IngestionError(f"duplicate edge ({a!r}, {b!r})")
-            n_dup += 1
-            continue
-        seen.add(key)
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    if not degree:
+    edges = np.asarray(edges)
+    if edges.dtype.hasobject or (edges.size and edges.shape[1:] != (2,)):
+        raise ParameterError(f"edges must be (E, 2) numbers or strings, got {edges.shape}")
+    # intern: sort ids as 8-byte words (np.unique on strings is slower), number equal runs
+    flat = np.ascontiguousarray(edges).reshape(-1)
+    raw = flat.view(np.uint8).reshape(flat.size, flat.itemsize)
+    words = np.pad(raw, ((0, 0), (0, -raw.shape[1] % 8))).view("<u8")
+    order = np.lexsort(words.T) if words.shape[1] > 1 else np.argsort(words[:, 0])
+    new = np.concatenate([[True], np.diff(words[order], axis=0).any(axis=1)])
+    ids = np.empty(flat.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    a, b, n = ids[0::2], ids[1::2], int(new.sum())
+    loop = a == b
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    if not dedupe:
+        order = np.argsort(key, kind="stable")
+        bad = np.concatenate([np.flatnonzero(loop), order[1:][np.diff(key[order]) == 0]])
+        if bad.size:
+            i = bad.min()
+            x, y = (t.decode(errors="replace") if isinstance(t, bytes) else t
+                    for t in edges[i].tolist())  # bytes tokens print as str
+            raise IngestionError(f"duplicate edge ({x!r}, {y!r})" if not loop[i]
+                                 else f"self-loop at node {x!r}")
+    pairs = np.sort(key[~loop])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    if not pairs.size:
         raise DegenerateDistributionError("no edges left after filtering")
-
-    counts = np.bincount(list(degree.values()))
+    degree = np.bincount(np.concatenate(np.divmod(pairs, n)))
+    degree = degree[degree > 0]
+    counts = np.bincount(degree)
     k_min = int(np.nonzero(counts)[0][0])  # >= 1: every counted node has an edge
     dist = _normalized(k_min, len(counts) - 1, counts[k_min:].astype(float))
     stats = EdgeListStats(
         n_nodes=len(degree),
-        n_edges=len(seen),
-        mean_degree=2 * len(seen) / len(degree),
+        n_edges=len(pairs),
+        mean_degree=2 * len(pairs) / len(degree),
         n_classes=dist.n_classes,
-        n_self_loops=n_self,
-        n_duplicates=n_dup,
+        n_self_loops=int(loop.sum()),
+        n_duplicates=int(len(key) - loop.sum() - len(pairs)),
     )
     return dist, stats
 
 
-def load_edge_list(path) -> list[tuple[str, str]]:
-    """Read whitespace-separated node-id pairs; ``#`` starts a comment."""
-    edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise IngestionError(
-                    f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
-                )
-            edges.append((parts[0], parts[1]))
-    if not edges:
+def load_edge_list(path) -> np.ndarray:
+    """(E, 2) bytes array of an edge-list file's id tokens (format above), in file order."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\0" in data:
+        raise IngestionError(f"{path}: NUL byte in edge list")
+    if b"#" in data:
+        data = re.sub(rb"#[^\n]*", b"", data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    word = ~((buf == 32) | ((buf >= 9) & (buf <= 13)))  # not ASCII whitespace, as in bytes.split()
+    starts, ends = np.flatnonzero(np.diff(word, prepend=False, append=False)).reshape(-1, 2).T
+    fields = np.bincount(np.searchsorted(np.flatnonzero(buf == ord("\n")), starts))
+    bad = np.flatnonzero((fields != 0) & (fields != 2))
+    if bad.size:
+        raise IngestionError(
+            f"{path}:{bad[0] + 1}: expected two node ids, got {fields[bad[0]]} fields"
+        )
+    if not starts.size:
         raise IngestionError(f"{path}: no edges found")
-    return edges
+    return np.array(data.split(), dtype=f"S{(ends - starts).max()}").reshape(-1, 2)
 
 
 def format_distribution(dist: DegreeDistribution) -> str:

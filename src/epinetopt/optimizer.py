@@ -36,7 +36,7 @@ from .control import (
     zero_strategy,
 )
 from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate, simulate_grouped
-from .errors import NumericalFailureError, ParameterError
+from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
 __all__ = [
@@ -128,6 +128,7 @@ def _check_finite(traj):
         raise NumericalFailureError(f"non-finite state at grid step {step}")
 
 
+@fp_checked
 def objective_and_gradient(
     problem: OptimizationProblem, x: np.ndarray, trajectory: Trajectory | None = None
 ):
@@ -218,6 +219,7 @@ def _project(x, upper):
     return np.minimum(np.maximum(x, 0.0), upper)
 
 
+@fp_checked
 def optimize(
     problem: OptimizationProblem,
     initial: ControlSchedule | None = None,

@@ -341,6 +341,23 @@ class TestExitCodes:
             ])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_numerical_failure_without_warnings(self, tmp_path, capsys):
+        code = main(["compare", "--output", str(tmp_path), *SMALL, "--set", "epidemic.beta=40"])
+        assert code == 2
+        assert "floating-point overflow" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_records_overflow_in_its_row(self, tmp_path):
+        code = main([
+            "sweep", "--output", str(tmp_path), *SMALL,
+            "--parameter", "beta", "--values", "0.5,40",
+        ])
+        assert code == 0
+        ok, failed = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert ok.startswith("0.5,") and ok.endswith(",True,")
+        assert failed.startswith("40.0,nan,") and "floating-point overflow" in failed
+
     @pytest.mark.parametrize("source", ["override", "file"])
     def test_solver_section_is_config_error(self, tmp_path, capsys, source):
         # an effective config written before the solver settings became constants

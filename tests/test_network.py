@@ -15,6 +15,7 @@ from epinetopt.errors import (
 )
 from epinetopt.network import (
     DegreeDistribution,
+    EdgeListStats,
     from_edge_list,
     load_edge_list,
     poisson_distribution,
@@ -150,7 +151,9 @@ class TestEdgeList:
     def test_load_edge_list(self, tmp_path):
         p = tmp_path / "net.txt"
         p.write_text("# comment\n1 2\n2 3   # trailing\n\n3 1\n")
-        assert load_edge_list(p) == [("1", "2"), ("2", "3"), ("3", "1")]
+        edges = load_edge_list(p)
+        assert edges.dtype.kind == "S" and edges.shape == (3, 2)
+        assert edges.tolist() == [[b"1", b"2"], [b"2", b"3"], [b"3", b"1"]]
 
     def test_load_edge_list_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -170,6 +173,160 @@ class TestEdgeList:
                 continue
             npt.assert_allclose(dist.mean_degree, stats.mean_degree, rtol=1e-12)
 
+
+
+def oracle_edge_list(edges, dedupe=True):
+    """Pure-Python ingest with a set of frozensets and a degree dict."""
+    seen, degree = set(), {}
+    n_self = n_dup = 0
+    for a, b in edges:
+        if a == b:
+            if not dedupe:
+                raise IngestionError(f"self-loop at node {a!r}")
+            n_self += 1
+            continue
+        if frozenset((a, b)) in seen:
+            if not dedupe:
+                raise IngestionError(f"duplicate edge ({a!r}, {b!r})")
+            n_dup += 1
+            continue
+        seen.add(frozenset((a, b)))
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    if not degree:
+        raise DegenerateDistributionError("no edges left after filtering")
+    counts = np.bincount(list(degree.values()))
+    k_min = int(np.nonzero(counts)[0][0])
+    weights = counts[k_min:].astype(float)
+    dist = DegreeDistribution(k_min, len(counts) - 1, weights / weights.sum())
+    stats = EdgeListStats(len(degree), len(seen), 2 * len(seen) / len(degree),
+                          dist.n_classes, n_self, n_dup)
+    return dist, stats
+
+
+# ids that a byte-wise interning could confuse: a leading zero, more than
+# 8 bytes, a shared first 8 bytes, and multi-byte UTF-8
+STR_IDS = ["1", "01", "10", "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghij12345",
+           "node-with-a-rather-long-identifier", "ñodo", "节点", "Ωμέγα", "x"]
+
+
+def random_edges(rng, ids, n_edges):
+    """Random pairs over ``ids`` with self-loops and repeats in both orientations."""
+    edges = []
+    for _ in range(n_edges):
+        roll = rng.random()
+        if roll < 0.1:
+            a = ids[rng.integers(len(ids))]
+            edges.append((a, a))
+        elif roll < 0.35 and edges:
+            a, b = edges[rng.integers(len(edges))]
+            edges.append((b, a) if rng.random() < 0.5 else (a, b))
+        else:
+            edges.append((ids[rng.integers(len(ids))], ids[rng.integers(len(ids))]))
+    return edges
+
+
+def assert_same_ingest(edges, dedupe=True, loaded=None):
+    try:
+        expected = oracle_edge_list(edges, dedupe)
+    except (IngestionError, DegenerateDistributionError) as exc:
+        with pytest.raises(type(exc)) as info:
+            from_edge_list(edges if loaded is None else loaded, dedupe)
+        assert str(info.value) == str(exc)
+        return
+    dist, stats = from_edge_list(edges if loaded is None else loaded, dedupe)
+    assert stats == expected[1]
+    assert (dist.k_min, dist.k_max) == (expected[0].k_min, expected[0].k_max)
+    assert dist.pmf.tobytes() == expected[0].pmf.tobytes()
+
+
+class TestIngestEquivalence:
+    """The vectorized ingest agrees with a pure-Python set/dict oracle."""
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_int_ids(self, dedupe):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            ids = [int(x) for x in rng.integers(-5, 10**12, int(rng.integers(2, 30)))]
+            assert_same_ingest(random_edges(rng, ids, int(rng.integers(1, 80))), dedupe)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_str_ids(self, dedupe):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            ids = list(rng.choice(STR_IDS, int(rng.integers(2, len(STR_IDS) + 1)), replace=False))
+            assert_same_ingest(random_edges(rng, [str(x) for x in ids], int(rng.integers(1, 80))),
+                               dedupe)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_through_file(self, tmp_path, dedupe):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "edges.txt"
+        for _ in range(20):
+            edges = random_edges(rng, STR_IDS, int(rng.integers(1, 60)))
+            path.write_text("".join(f"{a}\t{b}\r\n" for a, b in edges), encoding="utf-8")
+            assert_same_ingest(edges, dedupe, loaded=load_edge_list(path))
+
+    def test_leading_zero_names_another_node(self):
+        _, stats = from_edge_list([("1", "01"), ("01", "1"), ("1", "1")])
+        assert (stats.n_nodes, stats.n_edges) == (2, 1)
+        assert (stats.n_duplicates, stats.n_self_loops) == (1, 1)
+
+    def test_strict_mode_names_str_tokens(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("5 7\n7 5\n")
+        with pytest.raises(IngestionError, match=r"^duplicate edge \('7', '5'\)$"):
+            from_edge_list(load_edge_list(path), dedupe=False)
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ParameterError):
+            from_edge_list([(1, 2, 3), (4, 5, 6)])
+
+
+class TestEdgeListTokenizer:
+    @staticmethod
+    def load(tmp_path, data: bytes):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(data)
+        return load_edge_list(path)
+
+    def test_crlf_and_tabs(self, tmp_path):
+        edges = self.load(tmp_path, b"1\t2\r\n\t2  3 \r\n# note\r\n3\t1\t# back\r\n")
+        assert edges.tolist() == [[b"1", b"2"], [b"2", b"3"], [b"3", b"1"]]
+
+    def test_no_final_newline(self, tmp_path):
+        assert self.load(tmp_path, b"1 2\n3 4").tolist() == [[b"1", b"2"], [b"3", b"4"]]
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    def test_bad_line_number_counts_blank_and_comment_lines(self, tmp_path, eol):
+        lines = [b"# header", b"", b"   ", b"1 2 # ok", b"# 3 4 5", b"\t", b"6 7 8", b"9 10"]
+        message = r"edges\.txt:7: expected two node ids, got 3 fields"
+        with pytest.raises(IngestionError, match=message):
+            self.load(tmp_path, eol.join(lines))
+
+    def test_one_token_line(self, tmp_path):
+        with pytest.raises(IngestionError, match=r":2: expected two node ids, got 1 fields"):
+            self.load(tmp_path, b"1 2\n3\n4 5\n")
+
+    @pytest.mark.parametrize("data", [b"", b"\n\n", b"# only a comment\n", b"  # a\r\n#b"])
+    def test_no_edges_found(self, tmp_path, data):
+        with pytest.raises(IngestionError, match="no edges found"):
+            self.load(tmp_path, data)
+
+    def test_nul_byte_rejected(self, tmp_path):
+        with pytest.raises(IngestionError, match="NUL"):
+            self.load(tmp_path, b"1 2\n3\x00 4\n")
+
+    def test_utf8_ids_kept_as_bytes(self, tmp_path):
+        edges = self.load(tmp_path, "ñodo 节点\n".encode())
+        assert edges.tolist() == [["ñodo".encode(), "节点".encode()]]
+
+    def test_only_self_loops(self, tmp_path):
+        edges = self.load(tmp_path, b"1 1\n2 2\n")
+        with pytest.raises(DegenerateDistributionError):
+            from_edge_list(edges, dedupe=True)
+        with pytest.raises(IngestionError, match=r"^self-loop at node '1'$"):
+            from_edge_list(edges, dedupe=False)
 
 class TestExcess:
     """A neighbor reached along a random edge has degree k, that is excess
