@@ -150,6 +150,8 @@ class ExperimentConfig:
                     cp.read_file(fh, source=os.fspath(path))
             except _IniError as exc:
                 raise ConfigError(f"invalid config file: {exc}") from exc
+            except UnicodeDecodeError:
+                raise ConfigError(f"invalid config file: {path}: not UTF-8 text") from None
         given = ConfigParser(interpolation=None)
         for item in overrides:
             key, sep, value = item.partition("=")
@@ -176,7 +178,7 @@ class ExperimentConfig:
         _check_kind(kind)
         network = {**_read(cp, "network", _network_fields(kind)), "kind": kind}
         values = {section: _read(cp, section, fields) for section, fields in _FIELDS.items()}
-        params = _from_section("epidemic", EpidemicParams, values)
+        params = _named("epidemic", EpidemicParams, **values["epidemic"])
         try:
             grid = TimeGrid(values["grid"]["points"], params.duration)
         except ParameterError as exc:
@@ -188,7 +190,7 @@ class ExperimentConfig:
             n_groups=values["grouping"]["z"],
             n_control=values["grouping"]["m"],
             params=params,
-            cost=_from_section("cost", CostParams, values),
+            cost=_named("cost", CostParams, **values["cost"]),
             grid=grid,
             strategies=tuple(dict.fromkeys(names)),
             output_dir=run["output"],
@@ -221,9 +223,11 @@ class ExperimentConfig:
         """Construct the degree distribution described by the network section."""
         net = self.network
         if net["kind"] == "power_law":
-            return power_law_distribution(net["alpha"], net["k_min"], net["k_max"])
+            return _named("network", power_law_distribution,
+                          net["alpha"], net["k_min"], net["k_max"])
         if net["kind"] == "poisson":
-            return poisson_distribution(net["lambda"], net["k_min"], net["k_max"])
+            return _named("network", poisson_distribution,
+                          net["lambda"], net["k_min"], net["k_max"])
         if net["kind"] == "distribution":
             return read_distribution(net["path"])
         dist, _ = from_edge_list(load_edge_list(net["path"]))
@@ -232,9 +236,8 @@ class ExperimentConfig:
     def build(self):
         """Build the (distribution, grouped stats, control groups) triple."""
         dist = self.build_distribution()
-        grouping = partition_equal_mass(dist, self.n_groups)
-        gd = grouped_stats(dist, grouping)
-        cg = amass_control_groups(gd, self.n_control)
+        gd = grouped_stats(dist, _named("grouping", partition_equal_mass, dist, self.n_groups))
+        cg = _named("grouping", amass_control_groups, gd, self.n_control)
         return dist, gd, cg
 
 
@@ -280,10 +283,10 @@ def _read(cp, section, fields) -> dict:
     return values
 
 
-def _from_section(section, cls, values):
-    """``cls`` from the values of ``section``; a value out of range names ``section.key``."""
+def _named(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value out of range names ``section.key``."""
     try:
-        return cls(**values[section])
+        return build(*args, **kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{section}.{exc.field}: {exc}") from None
 

@@ -125,17 +125,15 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Objective value split into its three integral terms."""
+    """Objective value split into its three integral terms; ``J`` is their sum."""
 
-    J: float
     infection_term: float
     vaccination_term: float
     treatment_term: float
 
-    def __post_init__(self):
-        parts = self.infection_term + self.vaccination_term + self.treatment_term
-        if abs(self.J - parts) > 1e-12 * max(1.0, abs(self.J)):
-            raise ParameterError("objective must equal the sum of its terms")
+    @property
+    def J(self) -> float:
+        return self.infection_term + self.vaccination_term + self.treatment_term
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,6 @@ def evaluate_cost(
     vaccination = float(cost.b * (w @ (weights @ du**2)))
     treatment = float(cost.c * (w @ (weights @ dv**2)))
     return CostBreakdown(
-        J=infection + vaccination + treatment,
         infection_term=infection,
         vaccination_term=vaccination,
         treatment_term=treatment,

@@ -172,7 +172,7 @@ def partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
     """
     if not 1 <= n_groups <= dist.n_classes:
         raise ParameterError(
-            f"group count must be in [1, {dist.n_classes}], got {n_groups}"
+            f"group count must be in [1, {dist.n_classes}], got {n_groups}", "z"
         )
     boundaries = _greedy_boundaries(dist.pmf, n_groups)
     merged = _merge_zero_mass(boundaries, dist.pmf)
@@ -233,7 +233,7 @@ def amass_control_groups(gd: GroupedDistribution, n_control: int) -> ControlGrou
     """
     z = gd.n_groups
     if not 1 <= n_control <= z:
-        raise ParameterError(f"control-group count must be in [1, {z}], got {n_control}")
+        raise ParameterError(f"control-group count must be in [1, {z}], got {n_control}", "m")
     boundaries = _greedy_boundaries(gd.p_hat, n_control)
     assignment = np.repeat(np.arange(n_control), np.diff(boundaries))
     x = np.add.reduceat(gd.p_hat, boundaries[:-1])

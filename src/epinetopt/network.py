@@ -135,7 +135,7 @@ def poisson_distribution(lam: float, k_min: int, k_max: int) -> DegreeDistributi
     :class:`DegenerateDistributionError` is raised.
     """
     if not (lam > 0 and np.isfinite(lam)):
-        raise ParameterError(f"lambda must be positive and finite, got {lam}")
+        raise ParameterError(f"lambda must be positive and finite, got {lam}", "lambda")
     _check_bounds(k_min, k_max)
     ks = np.arange(k_min, k_max + 1)
     log_pmf = -lam + ks * math.log(lam) - np.array([math.lgamma(k + 1) for k in ks])
@@ -156,7 +156,7 @@ def power_law_distribution(alpha: float, k_min: int, k_max: int) -> DegreeDistri
     ``alpha = 0`` degenerates to the uniform distribution over the support.
     """
     if not (alpha >= 0 and np.isfinite(alpha)):
-        raise ParameterError(f"alpha must be nonnegative and finite, got {alpha}")
+        raise ParameterError(f"alpha must be nonnegative and finite, got {alpha}", "alpha")
     _check_bounds(k_min, k_max)
     ks = np.arange(k_min, k_max + 1, dtype=float)
     return _normalized(k_min, k_max, ks**-alpha if alpha else np.ones_like(ks))
@@ -166,9 +166,9 @@ def _check_bounds(k_min, k_max):
     if not (isinstance(k_min, (int, np.integer)) and isinstance(k_max, (int, np.integer))):
         raise ParameterError("degree bounds must be integers")
     if k_min < 1:
-        raise ParameterError(f"k_min must be >= 1, got {k_min}")
+        raise ParameterError(f"k_min must be >= 1, got {k_min}", "k_min")
     if k_max < k_min:
-        raise ParameterError(f"k_max={k_max} < k_min={k_min}")
+        raise ParameterError(f"k_max={k_max} < k_min={k_min}", "k_max")
 
 
 def from_edge_list(edges, dedupe: bool = True) -> tuple[DegreeDistribution, EdgeListStats]:
@@ -264,21 +264,25 @@ def format_distribution(dist: DegreeDistribution) -> str:
 
 
 def read_distribution(path) -> DegreeDistribution:
-    """Read the two-column text format of :func:`format_distribution`."""
+    """Read the two-column UTF-8 text format of :func:`format_distribution`."""
     degrees, probs = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise IngestionError(f"{path}:{lineno}: expected 'degree probability'")
-            try:
-                degrees.append(int(parts[0]))
-                probs.append(float(parts[1]))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise IngestionError(f"{path}:{lineno}: expected 'degree probability'")
+        try:
+            degrees.append(int(parts[0]))
+            probs.append(float(parts[1]))
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: {exc}") from exc
     if not degrees:
         raise IngestionError(f"{path}: empty distribution file")
     k = np.asarray(degrees)

@@ -14,10 +14,13 @@ solved on the box [0, rate_max], with rate_max infinite for the
 method: variables held at a bound stay out of the search direction, and
 an Armijo backtracking search runs along the projected arc.
 
-Every objective value comes from :func:`~epinetopt.control.evaluate_cost`,
-and each schedule is simulated once: the line search hands the accepted
-point's trajectory to the gradient and, at the end, to the result, whose
-``trajectory`` and ``breakdown`` callers use instead of re-simulating.
+Each schedule is evaluated once, by one step that simulates it, rejects
+non-finite states and objectives, and prices it with
+:func:`~epinetopt.control.evaluate_cost`. That evaluation is passed on,
+not rebuilt: the line search hands the accepted point's evaluation to the
+gradient and, at the end, to the result, whose ``trajectory`` and
+``breakdown`` callers use instead of re-simulating. :func:`sweep` prices
+its heuristics through the same step.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .control import (
     evaluate_cost,
     zero_strategy,
 )
-from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate, simulate_grouped
+from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -88,17 +91,21 @@ class OptimizationResult:
     """Outcome of one optimize run; ``history`` holds J per iterate.
 
     ``trajectory`` is the epidemic simulated under ``schedule`` and
-    ``breakdown`` the objective priced on it.
+    ``breakdown`` the objective priced on it; ``J`` is ``breakdown.J``.
+    ``iterations`` counts accepted steps, ``len(history) - 1``.
     """
 
     schedule: ControlSchedule
     trajectory: Trajectory = field(repr=False)
-    J: float
     breakdown: CostBreakdown
     iterations: int
     converged: bool
     gradient_norm: float
     history: np.ndarray = field(repr=False)
+
+    @property
+    def J(self) -> float:
+        return self.breakdown.J
 
 
 def _split(problem: OptimizationProblem, x: np.ndarray):
@@ -109,44 +116,41 @@ def _split(problem: OptimizationProblem, x: np.ndarray):
     return x[: m * n].reshape(m, n), x[m * n :].reshape(m, n)
 
 
-def _forward(problem, u, v, traj=None):
-    """Simulate the schedule (u, v) unless ``traj`` already holds it; price it.
+@fp_checked
+def _forward(problem, u, v):
+    """Evaluate the schedule (u, v): simulate it, check it, price it.
 
-    Returns ``(schedule, trajectory, breakdown)``.
+    Returns ``(schedule, trajectory, breakdown)``; a non-finite state or
+    objective raises :class:`NumericalFailureError`.
     """
     schedule = ControlSchedule(u, v, problem.grid)
-    if traj is None:
-        a = problem.cg.assignment
-        traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
-    return schedule, traj, evaluate_cost(traj, schedule, problem.cg, problem.cost)
-
-
-def _check_finite(traj):
+    a = problem.cg.assignment
+    traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
     bad = ~(np.isfinite(traj.s_hat).all(axis=0) & np.isfinite(traj.i_hat).all(axis=0))
     if bad.any():
-        step = int(np.argmax(bad))
-        raise NumericalFailureError(f"non-finite state at grid step {step}")
+        raise NumericalFailureError(f"non-finite state at grid step {int(np.argmax(bad))}")
+    breakdown = evaluate_cost(traj, schedule, problem.cg, problem.cost)
+    if not np.isfinite(breakdown.J):
+        raise NumericalFailureError("objective is not finite")
+    return schedule, traj, breakdown
 
 
 @fp_checked
-def objective_and_gradient(
-    problem: OptimizationProblem, x: np.ndarray, trajectory: Trajectory | None = None
-):
+def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray, evaluation=None):
     """Objective value and its exact gradient for a flat decision vector.
 
     The vector stacks the vaccination rates (M*N, row-major) followed by
-    the treatment rates. ``trajectory``, if given, must be the one
-    simulated under ``x``; it spares the forward sweep and leaves the
-    result unchanged. The gradient is computed by a reverse sweep
-    through the Heun steps (discrete adjoint), which differentiates the
-    discretized objective exactly, state-dependent cost terms included.
+    the treatment rates. ``evaluation``, if given, must be the
+    ``(schedule, trajectory, breakdown)`` of ``x``, as the solver's
+    evaluation step returns it; it spares the forward sweep and the
+    pricing and leaves the result unchanged. The gradient is computed by
+    a reverse sweep through the Heun steps (discrete adjoint), which
+    differentiates the discretized objective exactly, state-dependent
+    cost terms included.
     """
     u, v = _split(problem, np.asarray(x, dtype=float))
-    _, traj, breakdown = _forward(problem, u, v, trajectory)
+    _, traj, breakdown = _forward(problem, u, v) if evaluation is None else evaluation
     j = breakdown.J
-    _check_finite(traj)
-    if not np.isfinite(j):
-        raise NumericalFailureError("objective is not finite")
 
     gd, cg, params, grid = problem.gd, problem.cg, problem.params, problem.grid
     beta, gamma = params.beta, params.gamma
@@ -244,21 +248,19 @@ def optimize(
     upper = problem.cost.rate_max
     x = _project(np.concatenate([initial.u.ravel(), initial.v.ravel()]), upper)
 
-    _, traj, _ = _forward(problem, *_split(problem, x))
-    j, g = objective_and_gradient(problem, x, traj)
+    evaluation = _forward(problem, *_split(problem, x))
+    j, g = objective_and_gradient(problem, x, evaluation)
     history = [j]
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     stall = 0
     converged = False
-    iterations = 0
     held = _active(x, g, upper)
     pg = np.where(held, 0.0, g)  # the projected gradient
     pg_norm = float(np.linalg.norm(pg))
 
-    for iterations in range(1, _MAX_ITERATIONS + 1):
+    for _ in range(_MAX_ITERATIONS):
         if pg_norm < _GRADIENT_TOL:
             converged = True
-            iterations -= 1
             break
 
         # quasi-Newton step on the free variables; held ones stay at their bound
@@ -273,9 +275,9 @@ def optimize(
             accepted = _line_search(problem, x, j, g, -pg)
         if accepted is None:
             break
-        x_new, j_new, traj = accepted
+        x_new, evaluation = accepted
 
-        _, g_new = objective_and_gradient(problem, x_new, traj)
+        j_new, g_new = objective_and_gradient(problem, x_new, evaluation)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -294,16 +296,13 @@ def optimize(
         if stall >= _STALL_ITERATIONS:
             converged = True
             break
-    else:
-        iterations = _MAX_ITERATIONS
 
-    schedule, _, breakdown = _forward(problem, *_split(problem, x), traj)
+    schedule, traj, breakdown = evaluation
     return OptimizationResult(
         schedule=schedule,
         trajectory=traj,
-        J=j,
         breakdown=breakdown,
-        iterations=iterations,
+        iterations=len(history) - 1,
         converged=converged,
         gradient_norm=pg_norm,
         history=np.asarray(history),
@@ -330,19 +329,16 @@ def _lbfgs_direction(g, pairs):
 def _line_search(problem, x, j, g, d):
     """Backtracking Armijo search along the projected arc x(a) = P(x + a d).
 
-    Returns the accepted point, its objective and its trajectory, or None.
+    Returns the accepted point and its evaluation, or None.
     """
     alpha = 1.0
     for _ in range(_MAX_BACKTRACKS):
         x_new = _project(x + alpha * d, problem.cost.rate_max)
         step = x_new - x
         if step.any():
-            _, traj, breakdown = _forward(problem, *_split(problem, x_new))
-            j_new = breakdown.J
-            if not np.isfinite(j_new):
-                raise NumericalFailureError("objective is not finite in line search")
-            if j_new <= j + _ARMIJO_C1 * float(g @ step):
-                return x_new, j_new, traj
+            evaluation = _forward(problem, *_split(problem, x_new))
+            if evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
+                return x_new, evaluation
         alpha *= 0.5
     return None
 
@@ -396,12 +392,7 @@ def sweep(
                 variant = replace(problem, cost=replace(problem.cost, **{name: float(value)}))
             res = optimize(variant)
             const, none = (
-                evaluate_cost(
-                    simulate_grouped(variant.gd, variant.cg, sched, variant.params, variant.grid),
-                    sched,
-                    variant.cg,
-                    variant.cost,
-                )
+                _forward(variant, sched.u, sched.v)[2]
                 for sched in (
                     constant_strategy(variant.params, variant.grid, variant.cg.n_control),
                     zero_strategy(variant.grid, variant.cg.n_control),

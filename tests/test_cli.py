@@ -72,10 +72,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.points"):
             ExperimentConfig.from_file(None, ["grid.points=3.5"])
 
-    @pytest.mark.parametrize("override", ["cost.b=-1", "epidemic.i0=1.5", "grid.points=1"])
+    @pytest.mark.parametrize("override", [
+        "cost.b=-1", "epidemic.i0=1.5", "grid.points=1",
+        "grouping.z=200", "grouping.m=30", "network.k_max=3",
+    ])
     def test_out_of_range_names_field(self, override):
+        # some ranges depend on the network, so they are checked when it is built
         with pytest.raises(ConfigError, match=override.partition("=")[0]):
-            ExperimentConfig.from_file(None, [override])
+            ExperimentConfig.from_file(None, [override]).build()
 
     def test_kind_override_drops_file_network_keys(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -259,6 +263,18 @@ class TestOtherCommands:
         npt.assert_allclose(data[:, 1], res.history)
         assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
+    def test_failed_line_search_iterations_match_history(self, tmp_path):
+        # at these weights the solve ends in a failed line search
+        code = main([
+            "optimize", "--output", str(tmp_path),
+            "--set", "cost.b=20", "--set", "cost.c=40", "--set", "grid.points=201",
+        ])
+        assert code == 0
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert "converged = False" in summary
+        rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+        assert f"iterations = {len(rows) - 1}" in summary
+
     def test_group_error_table(self, tmp_path):
         code = main([
             "group-error", "--output", str(tmp_path), *SMALL,
@@ -328,6 +344,26 @@ class TestOtherCommands:
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["compare", "-c", str(tmp_path / "nope.ini")]) == 3
+
+    def test_non_utf8_distribution_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "dist.txt"
+        path.write_bytes(b"# degr\xe9e probabilit\xe9\n2 0.5\n3 0.5\n")
+        code = main([
+            "compare", "--output", str(tmp_path / "out"),
+            "--set", "network.kind=distribution", "--set", f"network.path={path}",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(path) in err and "UTF-8" in err
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"# exp\xe9rience\n[cost]\nb = 0.25\n")
+        code = main(["compare", "-c", str(path), "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config file: ") and str(path) in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_is_config_error(self, tmp_path):
         code = main(["compare", "--output", str(tmp_path), "--set", "epidemic.bogus=1"])

@@ -70,8 +70,9 @@ class TestObjective:
         u = rng.uniform(0.0, 0.6, (3, GRID.n_points))
         sched = ControlSchedule(u, rng.uniform(0.0, 0.4, (3, GRID.n_points)), GRID)
         traj = simulate_grouped(GD, CG, sched, DEFAULTS, GRID)
+        evaluation = (sched, traj, evaluate_cost(traj, sched, CG, PROBLEM.cost))
         j, g = objective_and_gradient(PROBLEM, pack(sched))
-        j_given, g_given = objective_and_gradient(PROBLEM, pack(sched), traj)
+        j_given, g_given = objective_and_gradient(PROBLEM, pack(sched), evaluation)
         assert j_given == j
         npt.assert_array_equal(g_given, g)
 
@@ -193,17 +194,26 @@ class TestOptimize:
     )
     def test_each_schedule_simulated_once(self, cost, monkeypatch):
         integrate = epinetopt.optimizer._integrate
+        price = epinetopt.optimizer.evaluate_cost
         sweeps = []
+        prices = []
 
         def recording(gd, params, grid, u_z=None, v_z=None):
             sweeps.append(u_z.tobytes() + v_z.tobytes())
             return integrate(gd, params, grid, u_z, v_z)
 
+        def counting(*args):
+            prices.append(None)
+            return price(*args)
+
         monkeypatch.setattr(epinetopt.optimizer, "_integrate", recording)
+        monkeypatch.setattr(epinetopt.optimizer, "evaluate_cost", counting)
         prob = replace(SMALL, cost=cost)
         res = optimize(prob)
         assert res.iterations > 0
         assert len(set(sweeps)) == len(sweeps)
+        # each simulated schedule is priced once, and nothing else is
+        assert len(prices) == len(sweeps)
         # the result's trajectory and breakdown are those of its schedule
         traj = simulate_grouped(SMALL_GD, SMALL_CG, res.schedule, DEFAULTS, SMALL_GRID)
         for f in fields(traj):
@@ -220,6 +230,13 @@ class TestOptimize:
         res = optimize(prob)
         assert res.converged
         assert res.gradient_norm < 1e-6
+
+    def test_failed_line_search_counts_accepted_steps(self, monkeypatch):
+        # no trial step at all: the first line search fails and nothing is accepted
+        monkeypatch.setattr(epinetopt.optimizer, "_MAX_BACKTRACKS", 0)
+        res = optimize(SMALL)
+        assert res.iterations == len(res.history) - 1 == 0
+        assert res.converged is False
 
     def test_max_iterations_respected(self, monkeypatch):
         monkeypatch.setattr(epinetopt.optimizer, "_MAX_ITERATIONS", 1)
