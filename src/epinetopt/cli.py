@@ -70,14 +70,7 @@ from .optimizer import (
     sweep,
 )
 
-__all__ = [
-    "ExperimentConfig",
-    "StrategyOutcome",
-    "main",
-    "run_experiment",
-    "run_group_error",
-    "run_sweep",
-]
+__all__ = ["ExperimentConfig", "main"]
 
 STRATEGY_NAMES = ("optimal", "constant", "none")
 
@@ -414,14 +407,14 @@ def _allocation_rows(name: str, schedule: ControlSchedule, cg, cost: CostParams)
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> dict[str, StrategyOutcome]:
+def run_experiment(config: ExperimentConfig) -> None:
     """Run every configured strategy and write the report bundle.
 
     The output directory receives trajectories.csv (aggregate s/i/r per
     strategy), controls.csv (the optimized schedule when present, else
     the first strategy's), allocation.csv (percentage resource shares),
     summary.txt, the effective config, and history.csv whenever the
-    optimizer ran. Returns the per-strategy outcomes keyed by name.
+    optimizer ran.
     """
     dist, gd, cg = config.build()
     outcomes = [_run_strategy(name, config, gd, cg) for name in config.strategies]
@@ -450,57 +443,15 @@ def run_experiment(config: ExperimentConfig) -> dict[str, StrategyOutcome]:
     _atomic_write(os.path.join(out, "effective_config.ini"), config.effective_text())
     if shown.result is not None:
         write_history_csv(shown.result, os.path.join(out, "history.csv"))
-    return {o.name: o for o in outcomes}
 
 
-def run_group_error(config: ExperimentConfig, z_min: int = 1, z_max: int | None = None):
-    """Tabulate the grouping error for each group count in a range.
-
-    Writes group_error.csv with one (z, combined relative error) row per
-    requested Z and returns the rows. The range must stay within
-    ``[1, number of degree classes]``.
-    """
-    dist = config.build_distribution()
-    if z_max is None:
-        z_max = dist.n_classes
-    if not 1 <= z_min <= z_max <= dist.n_classes:
-        raise ConfigError(
-            f"group-error range [{z_min}, {z_max}] must lie within "
-            f"[1, {dist.n_classes}]"
-        )
-    group_counts = range(z_min, z_max + 1)
-    rows = list(zip(group_counts, grouping_error(dist, group_counts, config.params, config.grid)))
+def _write_report(config: ExperimentConfig, name: str, header, rows) -> None:
+    """Write one table to the output directory, the effective config beside it."""
     os.makedirs(config.output_dir, exist_ok=True)
-    _write_table(
-        os.path.join(config.output_dir, "group_error.csv"),
-        ["z", "combined_relative_error"],
-        rows,
-    )
+    _write_table(os.path.join(config.output_dir, name), header, rows)
     _atomic_write(
         os.path.join(config.output_dir, "effective_config.ini"), config.effective_text()
     )
-    return rows
-
-
-def run_sweep(config: ExperimentConfig, parameter: str, values):
-    """Optimize across a parameter range and tabulate the outcomes.
-
-    Delegates to the optimizer sweep (parameter ``beta``, ``b``, or
-    ``c``) and writes sweep.csv; per-point failures appear in the error
-    column instead of aborting the run. Returns the sweep points.
-    """
-    _, gd, cg = config.build()
-    problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
-    points = sweep(problem, parameter, values)
-    rows = [["" if cell is None else cell for cell in astuple(p)] for p in points]
-    os.makedirs(config.output_dir, exist_ok=True)
-    _write_table(
-        os.path.join(config.output_dir, "sweep.csv"), [f.name for f in fields(SweepPoint)], rows
-    )
-    _atomic_write(
-        os.path.join(config.output_dir, "effective_config.ini"), config.effective_text()
-    )
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +489,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_group_error(args) -> int:
+    """Write group_error.csv: the grouping error for each Z in --z-min..--z-max."""
     config = _load_config(args)
-    run_group_error(config, z_min=args.z_min, z_max=args.z_max)
+    dist = config.build_distribution()
+    z_min, z_max = args.z_min, dist.n_classes if args.z_max is None else args.z_max
+    if not 1 <= z_min <= z_max <= dist.n_classes:
+        raise ConfigError(
+            f"group-error range [{z_min}, {z_max}] must lie within "
+            f"[1, {dist.n_classes}]"
+        )
+    group_counts = range(z_min, z_max + 1)
+    rows = zip(group_counts, grouping_error(dist, group_counts, config.params, config.grid))
+    _write_report(config, "group_error.csv", ["z", "combined_relative_error"], rows)
     return 0
 
 
@@ -551,7 +512,12 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values: expected comma-separated numbers, got {args.values!r}")
     if not values:
         raise ConfigError("--values: at least one value is required")
-    run_sweep(config, args.parameter, values)
+    _, gd, cg = config.build()
+    problem = OptimizationProblem(gd, cg, config.params, config.cost, config.grid)
+    # per-point failures fill the error column instead of aborting the run
+    rows = [["" if cell is None else cell for cell in astuple(p)]
+            for p in sweep(problem, args.parameter, values)]
+    _write_report(config, "sweep.csv", [f.name for f in fields(SweepPoint)], rows)
     return 0
 
 

@@ -115,7 +115,7 @@ class ControlSchedule:
             raise ParameterError(
                 f"schedule has {u.shape[1]} samples, grid has {self.grid.n_points}"
             )
-        if u.min() < 0 or v.min() < 0:
+        if not (u.min() >= 0 and v.min() >= 0):  # also rejects nan
             raise ParameterError("control rates must be nonnegative")
 
     @property
@@ -174,20 +174,26 @@ def _cost_rows(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory | Non
     return traj.p_hat, u[a] * traj.s_hat, v[a] * traj.i_hat, cg.starts
 
 
-def _cost_gradient(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory, w):
-    """Derivatives of the control cost, by the chain rule through :func:`_cost_rows`.
+def _cost_gradient(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory):
+    """Derivatives of the objective that :func:`evaluate_cost` prices on ``traj``.
 
-    Returns ``(node_s, node_i, g_u, g_v)``: the (Z, N) derivatives with respect to the
-    group states (None for ``"rate"``) and the (M, N) ones with respect to u and v.
+    Returns ``(node_s, node_i, g_u, g_v)``: the (Z, N) derivatives with respect to
+    the group states at each grid node (``node_s`` None for ``"rate"``), and the
+    (M, N) direct ones with respect to u and v. ``node_i`` holds the infection
+    term's, plus the control cost's own for ``"dose"``; the control cost is
+    differentiated by the chain rule through :func:`_cost_rows`.
     """
+    w = traj.grid.quadrature_weights()
     weights, du, dv, starts = _cost_rows(cost, cg, u, v, traj)
     ku = 2.0 * cost.b * weights[:, None] * du * w[None, :]  # derivative by each row
     kv = 2.0 * cost.c * weights[:, None] * dv * w[None, :]
+    node_i = np.outer(traj.p_hat, w)  # the infection term, w @ (p_hat @ i_hat)
     if cost.functional == "rate":  # the rows are the rates themselves
-        return None, None, ku, kv
+        return None, node_i, ku, kv
     a = cg.assignment  # the rows are the doses u_m(z) s_z and v_m(z) i_z
     s, i = traj.s_hat, traj.i_hat
-    return ku * u[a], kv * v[a], np.add.reduceat(ku * s, starts), np.add.reduceat(kv * i, starts)
+    node_i += kv * v[a]
+    return ku * u[a], node_i, np.add.reduceat(ku * s, starts), np.add.reduceat(kv * i, starts)
 
 
 @fp_checked

@@ -13,6 +13,14 @@ where Theta = sum_l q_l * i_l is the infection pressure (probability
 that a random edge end is infected), computed once per stage. The
 per-group recovered fraction is algebraic because the flows preserve
 s + i + r exactly. `grouping_error` measures the grouped view against the full one.
+
+The optimizer's gradient comes from the reverse (discrete-adjoint) sweep
+of the same Heun steps, which lives here beside the forward sweep: it
+recomputes each step's stage states from the stored trajectory and
+carries the objective's state derivatives (its node terms, supplied by
+:mod:`~epinetopt.control`) back through the transposed stage Jacobians,
+so the control gradient is exact for the discretized objective up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError, fp_checked
+from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution, Grouping, grouped_stats, partition_equal_mass
 from .network import DegreeDistribution
 
@@ -128,7 +136,10 @@ def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
-    """Run the Heun loop; ``u_z``/``v_z`` are per-group controls, (Z, N)."""
+    """Run the Heun loop; ``u_z``/``v_z`` are per-group controls, (Z, N).
+
+    A non-finite state raises :class:`NumericalFailureError`.
+    """
     n, dt = grid.n_points, grid.dt
     k_hat, q_hat = gd.k_hat, gd.q_hat
     z = len(k_hat)
@@ -157,12 +168,69 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
             np.clip(inn, 0.0, 1.0, out=inn)
         s[:, step + 1] = sn
         i[:, step + 1] = inn
+    bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
+    if bad.any():
+        raise NumericalFailureError(f"non-finite state at grid step {int(np.argmax(bad))}")
     # population aggregates: s = sum_z p_hat_z s_z, likewise i; r = 1 - s - i
     s_agg, i_agg = gd.p_hat @ s, gd.p_hat @ i
     return Trajectory(
         s_hat=s, i_hat=i, s=s_agg, i=i_agg, r=1.0 - s_agg - i_agg,
         grid=grid, clamp_events=clamp_events, p_hat=gd.p_hat,
     )
+
+
+def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
+    """Reverse (discrete-adjoint) sweep of :func:`_integrate` under ``u_z``/``v_z``.
+
+    ``traj`` is the forward trajectory under those (Z, N) controls, and
+    ``node_s``/``node_i`` are the objective's derivatives with respect to
+    the group states at each grid node (``node_s`` None if it has none).
+    Returns the (Z, N) derivatives of the objective with respect to
+    ``u_z`` and ``v_z`` through the states.
+    """
+    beta, gamma = params.beta, params.gamma
+    k_hat, q_hat = gd.k_hat, gd.q_hat
+    n, dt = grid.n_points, grid.dt
+    s, i = traj.s_hat, traj.i_hat
+    bk = beta * k_hat
+
+    # stage quantities for every step, vectorized over time
+    theta = q_hat @ i  # (N,)
+    infect = bk[:, None] * s * theta[None, :]
+    sp = s + dt * (-infect - u_z * s)  # predictor states for step n live
+    ip = i + dt * (infect - gamma * i - v_z * i)  # in column n
+    theta_p = q_hat @ ip
+
+    g_u = np.zeros_like(u_z)
+    g_v = np.zeros_like(v_z)
+    # lam = dJ/d(state at node n+1), objective node terms included
+    lam_s = np.zeros(gd.n_groups) if node_s is None else node_s[:, -1].copy()
+    lam_i = node_i[:, -1].copy()
+    for step in range(n - 2, -1, -1):
+        u0, v0 = u_z[:, step], v_z[:, step]
+        u1, v1 = u_z[:, step + 1], v_z[:, step + 1]
+        sp_n, ip_n = sp[:, step], ip[:, step]
+        s_n, i_n = s[:, step], i[:, step]
+        # transposed-Jacobian product at the predicted state (stage 2)
+        bkt = bk * theta_p[step]
+        h1_s = (-bkt - u1) * lam_s + bkt * lam_i
+        h1_i = beta * q_hat * np.dot(k_hat * sp_n, lam_i - lam_s) - (gamma + v1) * lam_i
+        # control gradients: stage 2 uses node n+1 controls, stage 1 node n
+        g_u[:, step + 1] += (-0.5 * dt) * sp_n * lam_s
+        g_v[:, step + 1] += (-0.5 * dt) * ip_n * lam_i
+        mu_s = lam_s + dt * h1_s
+        mu_i = lam_i + dt * h1_i
+        g_u[:, step] += (-0.5 * dt) * s_n * mu_s
+        g_v[:, step] += (-0.5 * dt) * i_n * mu_i
+        # transposed-Jacobian product at the step start (stage 1)
+        bkt = bk * theta[step]
+        h0_s = (-bkt - u0) * mu_s + bkt * mu_i
+        h0_i = beta * q_hat * np.dot(k_hat * s_n, mu_i - mu_s) - (gamma + v0) * mu_i
+        lam_s = lam_s + 0.5 * dt * (h1_s + h0_s)
+        lam_i = lam_i + 0.5 * dt * (h1_i + h0_i) + node_i[:, step]
+        if node_s is not None:
+            lam_s += node_s[:, step]
+    return g_u, g_v
 
 
 @fp_checked
@@ -204,7 +272,7 @@ def simulate_grouped(
         raise ParameterError(
             f"schedule sampled at {n} points, grid has {grid.n_points}"
         )
-    if schedule.u.min() < 0 or schedule.v.min() < 0:
+    if not (schedule.u.min() >= 0 and schedule.v.min() >= 0):  # also rejects nan
         raise ParameterError("control rates must be nonnegative")
     a = cg.assignment
     return _integrate(gd, params, grid, u_z=schedule.u[a], v_z=schedule.v[a])

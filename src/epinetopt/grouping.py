@@ -74,10 +74,11 @@ class GroupedDistribution:
         if not (p.shape == q.shape == k.shape == (z,)):
             raise ParameterError("p_hat, q_hat, k_hat must have one entry per group")
         q_total = 1 - 1 / (p @ k) if self.excess_degree else 1
-        if abs(p.sum() - 1) > 1e-12 or abs(q.sum() - q_total) > 1e-12:
+        # written so that nan fails every check
+        if not (abs(p.sum() - 1) <= 1e-12 and abs(q.sum() - q_total) <= 1e-12):
             raise ParameterError("group masses must sum to 1 and edge-end weights to their total")
-        if np.any(np.diff(k) <= 0):
-            raise ParameterError("weighted mean degrees must increase across groups")
+        if not (k[0] > 0 and np.all(np.diff(k) > 0)):
+            raise ParameterError("weighted mean degrees must be positive and increase across groups")
 
     @property
     def n_groups(self) -> int:

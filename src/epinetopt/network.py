@@ -61,10 +61,12 @@ class DegreeDistribution:
                 f"pmf length {pmf.shape} does not match degree range "
                 f"[{self.k_min}, {self.k_max}]"
             )
+        if not np.isfinite(pmf).all():
+            raise ParameterError("probabilities must be finite")
         if np.any(pmf < 0):
             raise ParameterError("probabilities must be nonnegative")
         if abs(pmf.sum() - 1.0) > _MASS_TOL:
-            raise ParameterError(f"probabilities sum to {pmf.sum()!r}, not 1")
+            raise ParameterError(f"probabilities sum to {float(pmf.sum())!r}, not 1")
         if pmf[0] <= 0 or pmf[-1] <= 0:
             raise ParameterError("support bounds must carry positive mass")
 
@@ -283,6 +285,10 @@ def read_distribution(path) -> DegreeDistribution:
             probs.append(float(parts[1]))
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from exc
+        if not (probs[-1] >= 0 and math.isfinite(probs[-1])):  # also rejects nan
+            raise IngestionError(
+                f"{path}:{lineno}: probability must be finite and >= 0, got {parts[1]}"
+            )
     if not degrees:
         raise IngestionError(f"{path}: empty distribution file")
     k = np.asarray(degrees)
@@ -292,7 +298,7 @@ def read_distribution(path) -> DegreeDistribution:
     pmf[k - k[0]] = probs
     total = pmf.sum()
     if abs(total - 1.0) > 1e-9:
-        raise IngestionError(f"{path}: probabilities sum to {total!r}, not 1")
+        raise IngestionError(f"{path}: probabilities sum to {float(total)!r}, not 1")
     if abs(total - 1.0) > _MASS_TOL:
         return _normalized(int(k[0]), int(k[-1]), pmf)
     # already normalized: build directly so exact values round-trip untouched

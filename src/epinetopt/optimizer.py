@@ -2,13 +2,10 @@
 
 The continuous optimal control problem is transcribed directly: the 2M
 control signals sampled at the N grid nodes are the decision variables
-(box constraint 0 <= u, v <= rate_max), the grouped dynamics are
-integrated with the same Heun scheme used for simulation, and the
-objective gradient is computed by a reverse (discrete-adjoint) sweep
-through the integrator steps, so it is exact for the discretized
-objective up to roundoff. State-dependent cost terms (the infected
-fraction, and the control cost's own, which :mod:`~epinetopt.control`
-differentiates) enter that sweep at their grid nodes. Every problem is
+(box constraint 0 <= u, v <= rate_max). The objective is the one
+:mod:`~epinetopt.control` prices and differentiates, on the grouped
+dynamics of :mod:`~epinetopt.dynamics`, whose reverse sweep gives its
+exact gradient; this module holds only the solver. Every problem is
 solved on the box [0, rate_max], with rate_max infinite for the
 ``"rate"`` functional, by one projected limited-memory quasi-Newton
 method: variables held at a bound stay out of the search direction, and
@@ -38,7 +35,7 @@ from .control import (
     evaluate_cost,
     zero_strategy,
 )
-from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate
+from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate, _reverse
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -126,9 +123,6 @@ def _forward(problem, u, v):
     schedule = ControlSchedule(u, v, problem.grid)
     a = problem.cg.assignment
     traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
-    bad = ~(np.isfinite(traj.s_hat).all(axis=0) & np.isfinite(traj.i_hat).all(axis=0))
-    if bad.any():
-        raise NumericalFailureError(f"non-finite state at grid step {int(np.argmax(bad))}")
     breakdown = evaluate_cost(traj, schedule, problem.cg, problem.cost)
     if not np.isfinite(breakdown.J):
         raise NumericalFailureError("objective is not finite")
@@ -143,74 +137,22 @@ def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray, evaluati
     the treatment rates. ``evaluation``, if given, must be the
     ``(schedule, trajectory, breakdown)`` of ``x``, as the solver's
     evaluation step returns it; it spares the forward sweep and the
-    pricing and leaves the result unchanged. The gradient is computed by
-    a reverse sweep through the Heun steps (discrete adjoint), which
-    differentiates the discretized objective exactly, state-dependent
-    cost terms included.
+    pricing and leaves the result unchanged. The objective's state
+    derivatives go through the reverse sweep of the Heun steps (discrete
+    adjoint), which differentiates the discretized objective exactly;
+    the per-group result is summed onto the control groups.
     """
     u, v = _split(problem, np.asarray(x, dtype=float))
     _, traj, breakdown = _forward(problem, u, v) if evaluation is None else evaluation
-    j = breakdown.J
-
-    gd, cg, params, grid = problem.gd, problem.cg, problem.params, problem.grid
-    beta, gamma = params.beta, params.gamma
-    k_hat, q_hat = gd.k_hat, gd.q_hat
+    cg = problem.cg
+    node_s, node_i, du, dv = _cost_gradient(problem.cost, cg, u, v, traj)
     a = cg.assignment
-    n, dt = grid.n_points, grid.dt
-    w = grid.quadrature_weights()
-    s, i = traj.s_hat, traj.i_hat
-    u_z, v_z = u[a], v[a]
-    bk = beta * k_hat
-
-    # stage quantities for every step, vectorized over time
-    theta = q_hat @ i  # (N,)
-    infect = bk[:, None] * s * theta[None, :]
-    sp = s + dt * (-infect - u_z * s)  # predictor states for step n live
-    ip = i + dt * (infect - gamma * i - v_z * i)  # in column n
-    theta_p = q_hat @ ip
-
-    # node terms of the objective's state derivative: the infected fraction,
-    # plus the control cost's own state terms, if it has any
-    node_s, cost_i, du, dv = _cost_gradient(problem.cost, cg, u, v, traj, w)
-    node_i = np.outer(gd.p_hat, w)
-    if cost_i is not None:
-        node_i += cost_i
-    g_u = np.zeros_like(u_z)  # per-group control gradients
-    g_v = np.zeros_like(v_z)
-
-    # reverse sweep: lam = dJ/d(state at node n+1), objective node terms included
-    lam_s = np.zeros(gd.n_groups) if node_s is None else node_s[:, -1].copy()
-    lam_i = node_i[:, -1].copy()
-    for step in range(n - 2, -1, -1):
-        u0, v0 = u_z[:, step], v_z[:, step]
-        u1, v1 = u_z[:, step + 1], v_z[:, step + 1]
-        sp_n, ip_n = sp[:, step], ip[:, step]
-        s_n, i_n = s[:, step], i[:, step]
-        # transposed-Jacobian product at the predicted state (stage 2)
-        bkt = bk * theta_p[step]
-        h1_s = (-bkt - u1) * lam_s + bkt * lam_i
-        h1_i = beta * q_hat * np.dot(k_hat * sp_n, lam_i - lam_s) - (gamma + v1) * lam_i
-        # control gradients: stage 2 uses node n+1 controls, stage 1 node n
-        g_u[:, step + 1] += (-0.5 * dt) * sp_n * lam_s
-        g_v[:, step + 1] += (-0.5 * dt) * ip_n * lam_i
-        mu_s = lam_s + dt * h1_s
-        mu_i = lam_i + dt * h1_i
-        g_u[:, step] += (-0.5 * dt) * s_n * mu_s
-        g_v[:, step] += (-0.5 * dt) * i_n * mu_i
-        # transposed-Jacobian product at the step start (stage 1)
-        bkt = bk * theta[step]
-        h0_s = (-bkt - u0) * mu_s + bkt * mu_i
-        h0_i = beta * q_hat * np.dot(k_hat * s_n, mu_i - mu_s) - (gamma + v0) * mu_i
-        lam_s = lam_s + 0.5 * dt * (h1_s + h0_s)
-        lam_i = lam_i + 0.5 * dt * (h1_i + h0_i) + node_i[:, step]
-        if node_s is not None:
-            lam_s += node_s[:, step]
-
+    g_u, g_v = _reverse(problem.gd, problem.params, problem.grid, traj, u[a], v[a], node_s, node_i)
     # collapse per-group rows onto the control groups (contiguous blocks),
     # then add the cost's direct derivatives
     g_u = np.add.reduceat(g_u, cg.starts, axis=0) + du
     g_v = np.add.reduceat(g_v, cg.starts, axis=0) + dv
-    return j, np.concatenate([g_u.ravel(), g_v.ravel()])
+    return breakdown.J, np.concatenate([g_u.ravel(), g_v.ravel()])
 
 
 def _active(x, g, upper):

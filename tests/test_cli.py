@@ -356,6 +356,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and str(path) in err and "UTF-8" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("6 nan\n7 nan\n", 1),
+            ("6 0.5\n7 nan\n8 0.5\n", 2),
+            ("6 -0.5\n7 1.5\n", 1),
+            ("6 inf\n7 0.5\n", 1),
+        ],
+        ids=["all-nan", "nan", "negative", "inf"],
+    )
+    def test_bad_probability_is_io_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "dist.txt"
+        path.write_text(text)
+        code = main([
+            "compare", "--output", str(tmp_path / "out"), "--set", "grouping.z=3",
+            "--set", "network.kind=distribution", "--set", f"network.path={path}",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {path}:{line}: probability must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_bytes(b"# exp\xe9rience\n[cost]\nb = 0.25\n")

@@ -67,6 +67,11 @@ class TestTypes:
         u[1, 5] = -1e-3
         with pytest.raises(ParameterError):
             ControlSchedule(u, np.zeros((3, n)), GRID)
+        u[1, 5] = np.nan
+        with pytest.raises(ParameterError):
+            ControlSchedule(u, np.zeros((3, n)), GRID)
+        with pytest.raises(ParameterError):
+            ControlSchedule(np.zeros((3, n)), np.full((3, n), np.nan), GRID)
 
 
 class TestBaselines:

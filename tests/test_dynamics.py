@@ -273,6 +273,10 @@ class TestSimulateGrouped:
         neg = SimpleNamespace(u=np.full((3, n), -0.1), v=np.zeros((3, n)))
         with pytest.raises(ParameterError):
             simulate_grouped(gd, cg, neg, DEFAULTS, GRID)
+        for nan in (SimpleNamespace(u=np.full((3, n), np.nan), v=np.zeros((3, n))),
+                    SimpleNamespace(u=np.zeros((3, n)), v=np.full((3, n), np.nan))):
+            with pytest.raises(ParameterError):
+                simulate_grouped(gd, cg, nan, DEFAULTS, GRID)
         ok = SimpleNamespace(u=np.zeros((3, n)), v=np.zeros((3, n)))
         with pytest.raises(ParameterError):
             simulate_grouped(gd, None, ok, DEFAULTS, GRID)

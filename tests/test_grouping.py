@@ -151,6 +151,13 @@ class TestGroupedStats:
         npt.assert_allclose(gd.k_hat, [1.0, 2.0])
         with pytest.raises(ParameterError):  # weights that do not match the flag
             GroupedDistribution(gd.p_hat, gd.q_hat, gd.k_hat, grouping)
+        nan = np.full(2, np.nan)
+        for p_hat, q_hat, k_hat in [(nan, gd.q_hat, gd.k_hat), (gd.p_hat, nan, gd.k_hat),
+                                    (gd.p_hat, gd.q_hat, nan)]:
+            with pytest.raises(ParameterError):
+                GroupedDistribution(p_hat, q_hat, k_hat, grouping, excess_degree=True)
+        with pytest.raises(ParameterError):  # one group: no difference to compare
+            GroupedDistribution([1.0], [1.0], [np.nan], Grouping(np.array([0, 2])))
 
     def test_pl2_frozen_stats(self):
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))

@@ -55,6 +55,31 @@ def test_imports_only_earlier_layers(module):
     assert sorted(set(imported_modules(tree)) & later) == []
 
 
+MODEL_COEFFICIENTS = {"k_hat", "q_hat", "p_hat", "beta", "gamma"}
+
+
+def model_coefficient_reads(source):
+    """(line, attribute) of every read of a model coefficient in ``source``."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in MODEL_COEFFICIENTS
+    )
+
+
+def test_optimizer_reads_no_model_coefficient():
+    # the model's equations and their adjoint live in dynamics, the objective's
+    # derivatives in control; the solver only passes the model through
+    source = (PACKAGE / "optimizer.py").read_text(encoding="utf-8")
+    assert model_coefficient_reads(source) == []
+
+
+def test_model_coefficient_reads_are_found():
+    source = "beta, gamma = params.beta, params.gamma\nw = np.outer(gd.p_hat, x)\n"
+    assert model_coefficient_reads(source) == [(1, "beta"), (1, "gamma"), (2, "p_hat")]
+
+
 def test_benchmark_tracer_names_resolve():
     path = PACKAGE.parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

@@ -4,6 +4,8 @@ Reference numbers were computed independently with exact rational
 arithmetic (fractions.Fraction) over the unnormalized weights.
 """
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -97,6 +99,15 @@ class TestDegreeDistribution:
     def test_validation_rejects_negative_mass(self):
         with pytest.raises(ParameterError):
             DegreeDistribution(1, 3, np.array([0.6, -0.1, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validation_rejects_non_finite_mass(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            DegreeDistribution(1, 3, np.array([0.5, bad, 0.5]))
+
+    def test_unnormalized_message_prints_a_plain_float(self):
+        with pytest.raises(ParameterError, match=r"^probabilities sum to 0\.9, not 1$"):
+            DegreeDistribution(1, 2, np.array([0.5, 0.4]))
 
     def test_validation_rejects_loose_support(self):
         with pytest.raises(ParameterError):
@@ -385,6 +396,29 @@ class TestSerialization:
         p = tmp_path / "bad.txt"
         p.write_text("1 0.5\n2 0.4\n")
         with pytest.raises(IngestionError):
+            read_distribution(p)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("6 nan\n7 nan\n", 1),
+            ("6 0.5\n7 nan\n8 0.5\n", 2),
+            ("6 -0.5\n7 1.5\n", 1),
+            ("6 inf\n7 0.5\n", 1),
+            ("# degree probability\n6 0.5\n7 -inf\n", 3),
+        ],
+        ids=["all-nan", "nan", "negative", "inf", "-inf"],
+    )
+    def test_rejects_bad_probability_with_line_number(self, tmp_path, text, line):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(IngestionError, match=rf"^{re.escape(str(p))}:{line}: probability must be finite"):
+            read_distribution(p)
+
+    def test_unnormalized_message_prints_a_plain_float(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("1 0.5\n2 0.25\n")
+        with pytest.raises(IngestionError, match=r"probabilities sum to 0\.75, not 1$"):
             read_distribution(p)
 
     def test_rejects_garbage_with_line_number(self, tmp_path):
