@@ -14,9 +14,9 @@ groups via :func:`amass_control_groups`, then hand everything to
 the optimal schedule with its trajectory and cost breakdown. Any other
 schedule is priced by :func:`simulate_grouped` followed by
 :func:`evaluate_cost`, the one cost formula the optimizer uses too.
-:func:`grouping_error` checks a range of group counts against one
-simulation of the full model. The ``epinetopt`` command line drives the
-same pipeline from a config file.
+:func:`grouping_error` checks a range of group counts against the full
+model, integrating them together in batched sweeps. The ``epinetopt``
+command line drives the same pipeline from a config file.
 """
 
 from .control import (

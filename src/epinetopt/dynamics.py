@@ -12,7 +12,18 @@ control group m = m(z):
 where Theta = sum_l q_l * i_l is the infection pressure (probability
 that a random edge end is infected), computed once per stage. The
 per-group recovered fraction is algebraic because the flows preserve
-s + i + r exactly. `grouping_error` measures the grouped view against the full one.
+s + i + r exactly. One right-hand side and one clamp rule serve every
+sweep, of one system or of a batch of independent systems.
+
+`grouping_error` measures the grouped view against the full one in
+batched sweeps: the reference (full) model, one group per positive-mass
+degree class, and each Z-grouped model are rows of one state, zero-padded
+to the reference's width. A padded group has zero degree, edge-end
+weight, mass and state, so it adds nothing to Theta or to the
+aggregates, and a row's result does not depend on the rest of the batch.
+The rows advance in fixed-size blocks, so memory stays bounded however
+many Z are asked for. A row that leaves [0, 1] (a clamp event) makes the
+comparison fail instead of reporting errors of clipped trajectories.
 
 The optimizer's gradient comes from the reverse (discrete-adjoint) sweep
 of the same Heun steps, which lives here beside the forward sweep: it
@@ -54,6 +65,10 @@ DEFAULT_GRID_POINTS = 1001
 
 # A clamp event is a step leaving [0,1] by more than this before clipping.
 _CLAMP_TOL = 1e-12
+
+# grouping_error advances its rows in blocks holding at most this many
+# entries of per-group state and stored aggregates (2 MB per array).
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -130,9 +145,32 @@ class Trajectory:
 
 
 def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
-    """Flow rates for susceptible and infected fractions of each group."""
+    """Flow rates for susceptible and infected fractions of each group.
+
+    One system passes (Z,) vectors. A batch of B systems passes ``q_hat``
+    as (B, 1, W) rows and the per-group arrays as (B, W, 1) columns, so
+    ``q_hat @ i`` is each system's Theta, (B, 1, 1), by the same dot.
+    """
     infect = (beta * (q_hat @ i)) * (k_hat * s)
     return -infect - u * s, infect - gamma * i - v * i
+
+
+def _clip(s, i):
+    """Clip the states to [0, 1] in place.
+
+    Returns None, or, when a state had left [0, 1] by more than
+    ``_CLAMP_TOL`` (a clamp event), the mask of the entries that had.
+    """
+    lo = min(s.min(), i.min())
+    hi = max(s.max(), i.max())
+    if not (lo < 0 or hi > 1):
+        return None
+    outside = None
+    if lo < -_CLAMP_TOL or hi > 1 + _CLAMP_TOL:
+        outside = (s < -_CLAMP_TOL) | (s > 1 + _CLAMP_TOL) | (i < -_CLAMP_TOL) | (i > 1 + _CLAMP_TOL)
+    np.clip(s, 0.0, 1.0, out=s)
+    np.clip(i, 0.0, 1.0, out=i)
+    return outside
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
@@ -159,13 +197,8 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
         ds1, di1 = _rhs(sp, ip, k_hat, q_hat, beta, gamma, u_z[:, step + 1], v_z[:, step + 1])
         sn = sn + 0.5 * dt * (ds0 + ds1)
         inn = inn + 0.5 * dt * (di0 + di1)
-        lo = min(sn.min(), inn.min())
-        hi = max(sn.max(), inn.max())
-        if lo < -_CLAMP_TOL or hi > 1 + _CLAMP_TOL:
+        if _clip(sn, inn) is not None:
             clamp_events += 1
-        if lo < 0 or hi > 1:
-            np.clip(sn, 0.0, 1.0, out=sn)
-            np.clip(inn, 0.0, 1.0, out=inn)
         s[:, step + 1] = sn
         i[:, step + 1] = inn
     bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
@@ -233,15 +266,25 @@ def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
     return g_u, g_v
 
 
+def _reference_grouping(dist: DegreeDistribution) -> Grouping:
+    """The full model's grouping: each positive-mass degree class its own group.
+
+    A zero-mass class adds nothing to Theta or to the aggregates, so it is
+    folded into the group of the class before it (the first positive class
+    takes any empty classes below it).
+    """
+    positive = np.flatnonzero(dist.pmf > 0)
+    return Grouping(np.r_[0, positive[1:], dist.n_classes])
+
+
 @fp_checked
 def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGrid) -> Trajectory:
     """Integrate the uncontrolled epidemic over every degree class.
 
-    Each degree class is its own group (identity grouping), so the
-    trajectory has one row per degree class.
+    Each positive-mass degree class is its own group, so the trajectory has
+    one row per such class (one per degree class when none is empty).
     """
-    identity = Grouping(np.arange(dist.n_classes + 1))
-    return _integrate(grouped_stats(dist, identity), params, grid)
+    return _integrate(grouped_stats(dist, _reference_grouping(dist)), params, grid)
 
 
 @fp_checked
@@ -278,30 +321,94 @@ def simulate_grouped(
     return _integrate(gd, params, grid, u_z=schedule.u[a], v_z=schedule.v[a])
 
 
+def _batch_aggregates(stats, names, width, params, grid):
+    """Integrate uncontrolled grouped models together; return their aggregates.
+
+    ``stats`` holds B grouped distributions of at most ``width`` groups.
+    Each becomes one row of a zero-padded batch (see :func:`_rhs`): a padded
+    group has zero degree, edge-end weight, mass and state, so it adds
+    nothing to Theta or to the aggregates. Only the (B, N) aggregates s and
+    i are kept. A row's values depend on ``width`` but not on the other
+    rows. A non-finite state or a clamp event raises
+    :class:`NumericalFailureError` naming the first row concerned, from
+    ``names``.
+    """
+    rows = len(stats)
+    p, q = np.zeros((rows, 1, width)), np.zeros((rows, 1, width))
+    k, s, i = np.zeros((rows, width, 1)), np.zeros((rows, width, 1)), np.zeros((rows, width, 1))
+    for row, gd in enumerate(stats):
+        z = gd.n_groups
+        p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
+        s[row, :z], i[row, :z] = 1.0 - params.i0, params.i0
+    n, dt = grid.n_points, grid.dt
+    s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
+    s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
+    clamps = np.zeros(rows, dtype=int)
+    beta, gamma = params.beta, params.gamma
+    for step in range(1, n):
+        ds0, di0 = _rhs(s, i, k, q, beta, gamma, 0.0, 0.0)
+        ds1, di1 = _rhs(s + dt * ds0, i + dt * di0, k, q, beta, gamma, 0.0, 0.0)
+        s = s + 0.5 * dt * (ds0 + ds1)
+        i = i + 0.5 * dt * (di0 + di1)
+        outside = _clip(s, i)
+        if outside is not None:
+            clamps += outside.any(axis=(1, 2))
+        s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
+    bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
+    if bad.any():
+        row, step = np.argwhere(bad)[0]
+        raise NumericalFailureError(f"non-finite state of {names[row]} at grid step {step}")
+    if clamps.any():
+        row = int(np.argmax(clamps > 0))
+        raise NumericalFailureError(
+            f"{names[row]} left [0, 1] in {clamps[row]} steps (clamp events); "
+            "the time grid is too coarse"
+        )
+    return s_agg, i_agg
+
+
+@fp_checked
 def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list[float]:
     """Combined relative error of Z-grouped models against the full model.
 
-    Simulates the uncontrolled full model once, then the grouped model for
-    each Z in ``group_counts``, all from identical initial conditions, and
-    returns one error per requested Z: the relative L2 error of the stacked
+    Integrates the uncontrolled reference (full) model and the grouped
+    model of each Z in ``group_counts`` from identical initial conditions,
+    as the rows of zero-padded batches (:func:`_batch_aggregates`) of the
+    reference's width W, one group per positive-mass degree class. The
+    first row is the reference; the row of a Z holds
+    ``grouped_stats(dist, partition_equal_mass(dist, Z))``. The rows advance
+    in blocks of at most ``_BLOCK_ENTRIES`` entries of state and stored
+    aggregates, so memory does not grow with the number of rows. W is
+    fixed by ``dist``, so the error of a Z does not depend on the other
+    rows or on the blocking.
+
+    Returns one error per requested Z: the relative L2 error of the stacked
     aggregate trajectories (s, i, r) sampled on the grid,
     ``||grouped - full||_2 / ||full||_2``, combining all three states in
-    one norm. The identity grouping gives 0 up to roundoff.
-    """
-    def aggregates(traj):
-        return traj.s, traj.i, traj.r
+    one norm. A Z that reproduces the reference grouping gives exactly 0.
 
-    # keep only the aggregates: holding the per-class rows raises peak memory
-    full = aggregates(simulate_full(dist, params, grid))
-    errors = []
-    for n_groups in group_counts:
-        gd = grouped_stats(dist, partition_equal_mass(dist, n_groups))
-        grouped = aggregates(simulate_grouped(gd, None, None, params, grid))
-        num, den = 0.0, 0.0
-        for a, b in zip(grouped, full):
-            num += np.sum((a - b) ** 2)
-            den += np.sum(b**2)
-        errors.append(float(np.sqrt(num / den)))
+    Raises :class:`NumericalFailureError`, naming the first row concerned,
+    if a state turns non-finite or if a row has a clamp event: a clipped
+    trajectory would make the error meaningless.
+    """
+    groupings = [_reference_grouping(dist), *(partition_equal_mass(dist, z) for z in group_counts)]
+    names = ["the reference model", *(f"z={z}" for z in group_counts)]
+    width = groupings[0].n_groups
+    per_block = max(1, _BLOCK_ENTRIES // (width + 2 * grid.n_points))
+    full, errors = None, []
+    for start in range(0, len(groupings), per_block):
+        block = slice(start, start + per_block)
+        stats = [grouped_stats(dist, g) for g in groupings[block]]
+        s_agg, i_agg = _batch_aggregates(stats, names[block], width, params, grid)
+        if full is None:
+            full = s_agg[0], i_agg[0], 1.0 - s_agg[0] - i_agg[0]
+            s_agg, i_agg = s_agg[1:], i_agg[1:]
+        for s_row, i_row in zip(s_agg, i_agg):
+            num, den = 0.0, 0.0
+            for a, b in zip((s_row, i_row, 1.0 - s_row - i_row), full):
+                num += np.sum((a - b) ** 2)
+                den += np.sum(b**2)
+            errors.append(float(np.sqrt(num / den)))
     return errors
 
 

@@ -286,6 +286,19 @@ class TestOtherCommands:
         assert data[0, 1] > data[1, 1] >= 0
         assert data[1, 1] <= 1e-12  # ten classes: Z=10 reproduces every class
 
+    def test_group_error_on_zero_mass_class(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("6 0.4\n7 0.3\n8 0.0\n9 0.3\n")
+        with pytest.warns(UserWarning, match="merged"):
+            code = main([
+                "group-error", "--output", str(tmp_path / "out"),
+                "--set", "network.kind=distribution", "--set", f"network.path={path}",
+            ])
+        assert code == 0
+        data = np.loadtxt(tmp_path / "out" / "group_error.csv", delimiter=",", skiprows=1)
+        npt.assert_array_equal(data[:, 0], [1, 2, 3, 4])
+        assert data[-1, 1] <= 1e-12
+
     def test_group_error_range_validated(self, tmp_path, capsys):
         code = main([
             "group-error", "--output", str(tmp_path), *SMALL, "--z-max", "99",
@@ -391,6 +404,12 @@ class TestExitCodes:
     def test_unknown_field_is_config_error(self, tmp_path):
         code = main(["compare", "--output", str(tmp_path), "--set", "epidemic.bogus=1"])
         assert code == 1
+
+    def test_clamped_group_error_is_numerical_failure(self, tmp_path, capsys):
+        code = main(["group-error", "--output", str(tmp_path), "--set", "grid.points=251"])
+        assert code == 2
+        assert "the reference model left [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "group_error.csv").exists()
 
     def test_non_finite_objective_is_numerical_failure(self, tmp_path):
         with np.errstate(over="ignore"):

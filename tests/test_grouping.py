@@ -8,8 +8,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epinetopt.dynamics import EpidemicParams, TimeGrid, grouping_error
-from epinetopt.errors import ParameterError
+from epinetopt import dynamics
+from epinetopt.dynamics import (
+    EpidemicParams,
+    TimeGrid,
+    grouping_error,
+    simulate_full,
+    simulate_grouped,
+)
+from epinetopt.errors import NumericalFailureError, ParameterError
 from epinetopt.grouping import (
     ControlGroups,
     GroupedDistribution,
@@ -48,6 +55,22 @@ def reference_greedy(masses, n_groups):
         b.append(min(max(cut, b[-1] + 1), n - (n_groups - z)))
     b.append(n)
     return np.array(b)
+
+
+def per_z_grouping_error(dist, group_counts, params, grid):
+    """Reference loop: one full-model simulation, then one grouped simulation
+    per Z, each with its own aggregates ``p_hat @ state``."""
+    full = simulate_full(dist, params, grid)
+    errors = []
+    for n_groups in group_counts:
+        gd = grouped_stats(dist, partition_equal_mass(dist, n_groups))
+        grouped = simulate_grouped(gd, None, None, params, grid)
+        num, den = 0.0, 0.0
+        for a, b in zip((grouped.s, grouped.i, grouped.r), (full.s, full.i, full.r)):
+            num += np.sum((a - b) ** 2)
+            den += np.sum(b**2)
+        errors.append(float(np.sqrt(num / den)))
+    return errors
 
 
 class TestPartition:
@@ -283,3 +306,55 @@ class TestGroupingError:
         # monotone within a 1% noise allowance and a roundoff floor
         assert np.all(errs[1:] <= errs[:-1] * 1.01 + 1e-12)
         assert errs[-1] <= 1e-12
+
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_batch_matches_per_z_loop(self, dist):
+        # The batch sums Theta and the aggregates over the reference width
+        # instead of over Z groups, which moves each error at roundoff only.
+        # The largest relative change measured is 1.5e-10 (PL2, Z = 99, where
+        # the error is 2e-8; ER: 3.5e-11), so rtol 1e-8 leaves ~70x of room.
+        zs = np.arange(1, dist.n_classes + 1)
+        npt.assert_allclose(
+            grouping_error(dist, zs, DEFAULTS, GRID),
+            per_z_grouping_error(dist, zs, DEFAULTS, GRID),
+            rtol=1e-8, atol=0,
+        )
+
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_each_error_is_invariant_to_the_batch(self, dist):
+        zs = list(range(1, dist.n_classes + 1))
+        by_z = dict(zip(zs, grouping_error(dist, zs, DEFAULTS, GRID)))
+        subset = np.random.default_rng(2).choice(zs, size=7, replace=False).tolist()
+        for batch in (zs[::-1], subset, [21, 3, 21, 21]):
+            assert grouping_error(dist, batch, DEFAULTS, GRID) == [by_z[z] for z in batch]
+
+    def test_blocking_leaves_each_error_unchanged(self, monkeypatch):
+        zs = list(range(1, PL2.n_classes + 1))
+        whole = grouping_error(PL2, zs, DEFAULTS, GRID)
+        # blocks of 7 rows, the reference model alone in the first one's row 0
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
+        assert grouping_error(PL2, zs, DEFAULTS, GRID) == whole
+
+    @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49), (251, 43)])
+    def test_clamped_sweep_fails_naming_the_row(self, n, clamps):
+        # the full model clamps on these grids, as simulate_full counts it
+        grid = TimeGrid(n, 20.0)
+        assert simulate_full(PL2, DEFAULTS, grid).clamp_events == clamps
+        with pytest.raises(NumericalFailureError, match=f"reference model left .* {clamps} steps"):
+            grouping_error(PL2, [21], DEFAULTS, grid)
+
+    def test_zero_mass_class_is_left_out_of_the_reference(self):
+        # an interior zero-mass class contributes nothing to the model
+        dist = DegreeDistribution(6, 9, np.array([0.4, 0.0, 0.3, 0.3]))
+        with pytest.warns(UserWarning, match="merged"):
+            errs = grouping_error(dist, [1, 2, 3, 4], DEFAULTS, GRID)
+        assert errs[0] > errs[1] > 0
+        assert errs[2] == errs[3] == 0.0  # three positive classes, three groups
+
+    def test_full_model_accepts_zero_mass_class(self):
+        dist = DegreeDistribution(6, 9, np.array([0.4, 0.0, 0.3, 0.3]))
+        traj = simulate_full(dist, DEFAULTS, GRID)
+        assert traj.s_hat.shape == (3, GRID.n_points)
+        assert grouping_error(dist, [3], DEFAULTS, GRID) == [0.0]
+        gd = grouped_stats(dist, partition_equal_mass(dist, 3))
+        npt.assert_allclose(simulate_grouped(gd, None, None, DEFAULTS, GRID).i, traj.i, atol=1e-12)
