@@ -31,7 +31,9 @@ recomputes each step's stage states from the stored trajectory and
 carries the objective's state derivatives (its node terms, supplied by
 :mod:`~epinetopt.control`) back through the transposed stage Jacobians,
 so the control gradient is exact for the discretized objective up to
-roundoff.
+roundoff. The coefficients that do not depend on the adjoint are computed
+per time chunk and the control gradient is accumulated once per chunk,
+by the operations of a step-by-step loop in the same order, so with its bits.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError, fp_checked
-from .grouping import ControlGroups, GroupedDistribution, Grouping, grouped_stats, partition_equal_mass
+from .grouping import ControlGroups, GroupedDistribution, Grouping, _equal_mass_partitions, grouped_stats
 from .network import DegreeDistribution
 
 if TYPE_CHECKING:
@@ -69,6 +71,9 @@ _CLAMP_TOL = 1e-12
 # grouping_error advances its rows in blocks holding at most this many
 # entries of per-group state and stored aggregates (2 MB per array).
 _BLOCK_ENTRIES = 1 << 18
+
+# The reverse sweep computes its coefficients for this many steps at a time.
+_REVERSE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -155,28 +160,27 @@ def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
     return -infect - u * s, infect - gamma * i - v * i
 
 
-def _clip(s, i):
-    """Clip the states to [0, 1] in place.
+def _clip(x):
+    """Clip the stacked states ``x`` (s and i along the first axis) to [0, 1] in place.
 
     Returns None, or, when a state had left [0, 1] by more than
     ``_CLAMP_TOL`` (a clamp event), the mask of the entries that had.
     """
-    lo = min(s.min(), i.min())
-    hi = max(s.max(), i.max())
+    lo, hi = x.min(), x.max()
     if not (lo < 0 or hi > 1):
         return None
     outside = None
     if lo < -_CLAMP_TOL or hi > 1 + _CLAMP_TOL:
-        outside = (s < -_CLAMP_TOL) | (s > 1 + _CLAMP_TOL) | (i < -_CLAMP_TOL) | (i > 1 + _CLAMP_TOL)
-    np.clip(s, 0.0, 1.0, out=s)
-    np.clip(i, 0.0, 1.0, out=i)
+        outside = (x < -_CLAMP_TOL) | (x > 1 + _CLAMP_TOL)
+    np.clip(x, 0.0, 1.0, out=x)
     return outside
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
     """Run the Heun loop; ``u_z``/``v_z`` are per-group controls, (Z, N).
 
-    A non-finite state raises :class:`NumericalFailureError`.
+    Each step writes the stacked (s, i), one (2, Z) block, into a time-major
+    store. A non-finite state raises :class:`NumericalFailureError`.
     """
     n, dt = grid.n_points, grid.dt
     k_hat, q_hat = gd.k_hat, gd.q_hat
@@ -184,23 +188,22 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     if u_z is None:
         u_z = v_z = np.zeros((z, n))
     beta, gamma = params.beta, params.gamma
-    s = np.empty((z, n))
-    i = np.empty((z, n))
-    s[:, 0] = 1.0 - params.i0
-    i[:, 0] = params.i0
+    half = 0.5 * dt
+    x = np.empty((n, 2, z))  # x[step] = (s, i) at grid node step
+    x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     clamp_events = 0
-    sn, inn = s[:, 0].copy(), i[:, 0].copy()
+    sn, inn = x[0, 0], x[0, 1]
     for step in range(n - 1):
         ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u_z[:, step], v_z[:, step])
         sp = sn + dt * ds0
         ip = inn + dt * di0
         ds1, di1 = _rhs(sp, ip, k_hat, q_hat, beta, gamma, u_z[:, step + 1], v_z[:, step + 1])
-        sn = sn + 0.5 * dt * (ds0 + ds1)
-        inn = inn + 0.5 * dt * (di0 + di1)
-        if _clip(sn, inn) is not None:
+        xn = x[step + 1]
+        sn = np.add(sn, half * (ds0 + ds1), out=xn[0])
+        inn = np.add(inn, half * (di0 + di1), out=xn[1])
+        if _clip(xn) is not None:
             clamp_events += 1
-        s[:, step + 1] = sn
-        i[:, step + 1] = inn
+    s, i = x.transpose(1, 2, 0).copy()  # (Z, N) each
     bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
     if bad.any():
         raise NumericalFailureError(f"non-finite state at grid step {int(np.argmax(bad))}")
@@ -220,12 +223,23 @@ def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
     the group states at each grid node (``node_s`` None if it has none).
     Returns the (Z, N) derivatives of the objective with respect to
     ``u_z`` and ``v_z`` through the states.
+
+    The grid is walked backwards in chunks of ``_REVERSE_CHUNK`` steps. A
+    chunk computes its coefficients that do not depend on the adjoint,
+    vectorized; its loop carries only the adjoint recursion and stores the
+    adjoints; one pass per term then adds the control gradient, stage 1
+    into a column before stage 2. Each entry sees the operations of a
+    step-by-step loop in the same order, so the bits do not depend on the
+    chunk length. Theta is one product over the whole grid, and the dot
+    products read contiguous rows: the bits of both depend on the shapes
+    and strides of their inputs.
     """
     beta, gamma = params.beta, params.gamma
     k_hat, q_hat = gd.k_hat, gd.q_hat
     n, dt = grid.n_points, grid.dt
     s, i = traj.s_hat, traj.i_hat
-    bk = beta * k_hat
+    bk, bq = beta * k_hat, beta * q_hat
+    half, g_scale = 0.5 * dt, -0.5 * dt
 
     # stage quantities for every step, vectorized over time
     theta = q_hat @ i  # (N,)
@@ -234,35 +248,48 @@ def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
     ip = i + dt * (infect - gamma * i - v_z * i)  # in column n
     theta_p = q_hat @ ip
 
-    g_u = np.zeros_like(u_z)
-    g_v = np.zeros_like(v_z)
-    # lam = dJ/d(state at node n+1), objective node terms included
-    lam_s = np.zeros(gd.n_groups) if node_s is None else node_s[:, -1].copy()
-    lam_i = node_i[:, -1].copy()
-    for step in range(n - 2, -1, -1):
-        u0, v0 = u_z[:, step], v_z[:, step]
-        u1, v1 = u_z[:, step + 1], v_z[:, step + 1]
-        sp_n, ip_n = sp[:, step], ip[:, step]
-        s_n, i_n = s[:, step], i[:, step]
-        # transposed-Jacobian product at the predicted state (stage 2)
-        bkt = bk * theta_p[step]
-        h1_s = (-bkt - u1) * lam_s + bkt * lam_i
-        h1_i = beta * q_hat * np.dot(k_hat * sp_n, lam_i - lam_s) - (gamma + v1) * lam_i
-        # control gradients: stage 2 uses node n+1 controls, stage 1 node n
-        g_u[:, step + 1] += (-0.5 * dt) * sp_n * lam_s
-        g_v[:, step + 1] += (-0.5 * dt) * ip_n * lam_i
-        mu_s = lam_s + dt * h1_s
-        mu_i = lam_i + dt * h1_i
-        g_u[:, step] += (-0.5 * dt) * s_n * mu_s
-        g_v[:, step] += (-0.5 * dt) * i_n * mu_i
-        # transposed-Jacobian product at the step start (stage 1)
-        bkt = bk * theta[step]
-        h0_s = (-bkt - u0) * mu_s + bkt * mu_i
-        h0_i = beta * q_hat * np.dot(k_hat * s_n, mu_i - mu_s) - (gamma + v0) * mu_i
-        lam_s = lam_s + 0.5 * dt * (h1_s + h0_s)
-        lam_i = lam_i + 0.5 * dt * (h1_i + h0_i) + node_i[:, step]
-        if node_s is not None:
-            lam_s += node_s[:, step]
+    g_u, g_v = np.zeros_like(u_z), np.zeros_like(v_z)
+    chunk = min(_REVERSE_CHUNK, n - 1)
+    # step lo + j of a chunk: lam[j + 1] = dJ/d(s, i at node lo + j + 1), node
+    # terms included; mu[j] the same at the predicted state; lam[0] carries on
+    lam, mu = np.empty((chunk + 1, 2, gd.n_groups)), np.empty((chunk, 2, gd.n_groups))
+    lam[0, 0] = 0.0 if node_s is None else node_s[:, -1]
+    lam[0, 1] = node_i[:, -1]
+    h1, h0 = np.empty((2, gd.n_groups)), np.empty((2, gd.n_groups))  # stage products
+    h1_s, h1_i, h0_s, h0_i = h1[0], h1[1], h0[0], h0[1]
+    for hi in range(n - 1, 0, -chunk):
+        lo = max(hi - chunk, 0)
+        now, nxt = slice(lo, hi), slice(lo + 1, hi + 1)  # nodes n and n + 1
+        lam[hi - lo] = lam[0]
+        lam_s, lam_i = lam_j = lam[hi - lo]
+        # (steps, Z) coefficients: stage 2 (node n + 1 controls), stage 1 (node n)
+        a1 = bk * theta_p[now, None]
+        c1, d1 = -a1 - u_z[:, nxt].T, gamma + v_z[:, nxt].T
+        a0 = bk * theta[now, None]
+        c0, d0 = -a0 - u_z[:, now].T, gamma + v_z[:, now].T
+        e1, e0 = (np.multiply(k_hat, x[:, now].T, order="C") for x in (sp, s))
+        for j in range(hi - lo - 1, -1, -1):
+            mu_j = mu[j]
+            mu_s, mu_i = mu_j[0], mu_j[1]
+            # transposed-Jacobian products at the predicted state (stage 2)
+            np.add(c1[j] * lam_s, a1[j] * lam_i, out=h1_s)
+            np.subtract(bq * np.dot(e1[j], lam_i - lam_s), d1[j] * lam_i, out=h1_i)
+            np.add(lam_j, dt * h1, out=mu_j)
+            # and at the step start (stage 1)
+            np.add(c0[j] * mu_s, a0[j] * mu_i, out=h0_s)
+            np.subtract(bq * np.dot(e0[j], mu_i - mu_s), d0[j] * mu_i, out=h0_i)
+            lam_j = np.add(lam_j, half * (h1 + h0), out=lam[j])
+            lam_s, lam_i = lam_j[0], lam_j[1]
+            lam_i += node_i[:, lo + j]
+            if node_s is not None:
+                lam_s += node_s[:, lo + j]
+        # control gradients: stage 1 uses node n controls, stage 2 node n + 1
+        lam_s, lam_i = lam[1:hi - lo + 1].transpose(1, 2, 0)
+        mu_s, mu_i = mu[:hi - lo].transpose(1, 2, 0)
+        g_u[:, now] += (g_scale * s[:, now]) * mu_s
+        g_v[:, now] += (g_scale * i[:, now]) * mu_i
+        g_u[:, nxt] += (g_scale * sp[:, now]) * lam_s
+        g_v[:, nxt] += (g_scale * ip[:, now]) * lam_i
     return g_u, g_v
 
 
@@ -335,7 +362,8 @@ def _batch_aggregates(stats, names, width, params, grid):
     """
     rows = len(stats)
     p, q = np.zeros((rows, 1, width)), np.zeros((rows, 1, width))
-    k, s, i = np.zeros((rows, width, 1)), np.zeros((rows, width, 1)), np.zeros((rows, width, 1))
+    k, x = np.zeros((rows, width, 1)), np.zeros((2, rows, width, 1))
+    s, i = x  # views, updated in place
     for row, gd in enumerate(stats):
         z = gd.n_groups
         p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
@@ -344,15 +372,15 @@ def _batch_aggregates(stats, names, width, params, grid):
     s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
     s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
     clamps = np.zeros(rows, dtype=int)
-    beta, gamma = params.beta, params.gamma
+    beta, gamma, half = params.beta, params.gamma, 0.5 * dt
     for step in range(1, n):
         ds0, di0 = _rhs(s, i, k, q, beta, gamma, 0.0, 0.0)
         ds1, di1 = _rhs(s + dt * ds0, i + dt * di0, k, q, beta, gamma, 0.0, 0.0)
-        s = s + 0.5 * dt * (ds0 + ds1)
-        i = i + 0.5 * dt * (di0 + di1)
-        outside = _clip(s, i)
+        s += half * (ds0 + ds1)
+        i += half * (di0 + di1)
+        outside = _clip(x)
         if outside is not None:
-            clamps += outside.any(axis=(1, 2))
+            clamps += outside.any(axis=(0, 2, 3))
         s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
     bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
     if bad.any():
@@ -376,7 +404,8 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     as the rows of zero-padded batches (:func:`_batch_aggregates`) of the
     reference's width W, one group per positive-mass degree class. The
     first row is the reference; the row of a Z holds
-    ``grouped_stats(dist, partition_equal_mass(dist, Z))``. The rows advance
+    ``grouped_stats(dist, partition_equal_mass(dist, Z))``; one warning
+    lists every Z whose groups had to be merged. The rows advance
     in blocks of at most ``_BLOCK_ENTRIES`` entries of state and stored
     aggregates, so memory does not grow with the number of rows. W is
     fixed by ``dist``, so the error of a Z does not depend on the other
@@ -391,7 +420,7 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     if a state turns non-finite or if a row has a clamp event: a clipped
     trajectory would make the error meaningless.
     """
-    groupings = [_reference_grouping(dist), *(partition_equal_mass(dist, z) for z in group_counts)]
+    groupings = [_reference_grouping(dist), *_equal_mass_partitions(dist, group_counts)]
     names = ["the reference model", *(f"z={z}" for z in group_counts)]
     width = groupings[0].n_groups
     per_block = max(1, _BLOCK_ENTRIES // (width + 2 * grid.n_points))

@@ -171,20 +171,43 @@ def partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
         into their neighbors and the achieved (smaller) count is returned
         with a warning.
     """
+    grouping = _partition_equal_mass(dist, n_groups)
+    if grouping.n_groups < n_groups:
+        warnings.warn(
+            f"mass concentration: only {grouping.n_groups} of {n_groups} "
+            "requested groups carry probability; empty groups were merged",
+            stacklevel=2,
+        )
+    return grouping
+
+
+def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Grouping]:
+    """:func:`partition_equal_mass` of each count, with one warning for all.
+
+    The warning lists every count whose empty groups were merged, runs of
+    consecutive counts as ranges.
+    """
+    groupings = [_partition_equal_mass(dist, z) for z in group_counts]
+    short = np.unique([z for z, g in zip(group_counts, groupings) if g.n_groups < z])
+    if short.size:
+        cut = np.diff(short) > 1
+        runs = zip(short[np.r_[True, cut]], short[np.r_[cut, True]])
+        warnings.warn(
+            "mass concentration: fewer groups than requested carry probability for z = "
+            + ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
+            + "; empty groups were merged",
+            stacklevel=2,
+        )
+    return groupings
+
+
+def _partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
+    """:func:`partition_equal_mass` without the warning when groups are merged."""
     if not 1 <= n_groups <= dist.n_classes:
         raise ParameterError(
             f"group count must be in [1, {dist.n_classes}], got {n_groups}", "z"
         )
-    boundaries = _greedy_boundaries(dist.pmf, n_groups)
-    merged = _merge_zero_mass(boundaries, dist.pmf)
-    if len(merged) < len(boundaries):
-        warnings.warn(
-            f"mass concentration: only {len(merged) - 1} of {n_groups} "
-            "requested groups carry probability; empty groups were merged",
-            stacklevel=2,
-        )
-        boundaries = merged
-    return Grouping(boundaries)
+    return Grouping(_merge_zero_mass(_greedy_boundaries(dist.pmf, n_groups), dist.pmf))
 
 
 def grouped_stats(

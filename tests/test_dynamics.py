@@ -11,9 +11,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from epinetopt import dynamics
+from epinetopt.control import CostParams, _cost_gradient
 from epinetopt.dynamics import (
     EpidemicParams,
     TimeGrid,
+    _integrate,
+    _reverse,
     cumulative_infected,
     simulate_full,
     simulate_grouped,
@@ -307,3 +311,128 @@ class TestQuadratureAndExport:
         params = EpidemicParams(0.0, 0.0, 0.25, 8.0)
         traj = simulate_grouped(gd, None, None, params, TimeGrid(17, 8.0))
         npt.assert_allclose(cumulative_infected(traj), 0.25 * 8.0, rtol=1e-14)
+
+
+def stepwise_integrate(gd, params, grid, u_z, v_z):
+    """Reference forward sweep: the Heun loop one step at a time.
+
+    Each step makes fresh state vectors, tests s and i for a clamp with
+    four reductions and copies the state into (Z, N) arrays. Returns
+    ``(s, i, clamp_events)``.
+    """
+    n, dt = grid.n_points, grid.dt
+    k_hat, q_hat, beta, gamma = gd.k_hat, gd.q_hat, params.beta, params.gamma
+    s, i = np.empty((gd.n_groups, n)), np.empty((gd.n_groups, n))
+    s[:, 0], i[:, 0] = 1.0 - params.i0, params.i0
+    sn, inn = s[:, 0].copy(), i[:, 0].copy()
+    clamps = 0
+
+    def rhs(s, i, u, v):
+        infect = (beta * (q_hat @ i)) * (k_hat * s)
+        return -infect - u * s, infect - gamma * i - v * i
+
+    for step in range(n - 1):
+        ds0, di0 = rhs(sn, inn, u_z[:, step], v_z[:, step])
+        ds1, di1 = rhs(sn + dt * ds0, inn + dt * di0, u_z[:, step + 1], v_z[:, step + 1])
+        sn = sn + 0.5 * dt * (ds0 + ds1)
+        inn = inn + 0.5 * dt * (di0 + di1)
+        lo, hi = min(sn.min(), inn.min()), max(sn.max(), inn.max())
+        if lo < 0 or hi > 1:
+            clamps += bool(lo < -1e-12 or hi > 1 + 1e-12)
+            np.clip(sn, 0.0, 1.0, out=sn)
+            np.clip(inn, 0.0, 1.0, out=inn)
+        s[:, step + 1], i[:, step + 1] = sn, inn
+    return s, i, clamps
+
+
+def stepwise_reverse(gd, params, grid, s, i, u_z, v_z, node_s, node_i):
+    """Reference reverse (discrete-adjoint) sweep, one step at a time.
+
+    Every coefficient is recomputed inside the loop, and each step adds its
+    two stages' terms to the control gradient as it goes.
+    """
+    beta, gamma = params.beta, params.gamma
+    k_hat, q_hat = gd.k_hat, gd.q_hat
+    n, dt = grid.n_points, grid.dt
+    bk = beta * k_hat
+    theta = q_hat @ i
+    infect = bk[:, None] * s * theta[None, :]
+    sp = s + dt * (-infect - u_z * s)
+    ip = i + dt * (infect - gamma * i - v_z * i)
+    theta_p = q_hat @ ip
+    g_u, g_v = np.zeros_like(u_z), np.zeros_like(v_z)
+    lam_s = np.zeros(gd.n_groups) if node_s is None else node_s[:, -1].copy()
+    lam_i = node_i[:, -1].copy()
+    for step in range(n - 2, -1, -1):
+        u0, v0 = u_z[:, step], v_z[:, step]
+        u1, v1 = u_z[:, step + 1], v_z[:, step + 1]
+        sp_n, ip_n = sp[:, step], ip[:, step]
+        s_n, i_n = s[:, step], i[:, step]
+        bkt = bk * theta_p[step]
+        h1_s = (-bkt - u1) * lam_s + bkt * lam_i
+        h1_i = beta * q_hat * np.dot(k_hat * sp_n, lam_i - lam_s) - (gamma + v1) * lam_i
+        g_u[:, step + 1] += (-0.5 * dt) * sp_n * lam_s
+        g_v[:, step + 1] += (-0.5 * dt) * ip_n * lam_i
+        mu_s = lam_s + dt * h1_s
+        mu_i = lam_i + dt * h1_i
+        g_u[:, step] += (-0.5 * dt) * s_n * mu_s
+        g_v[:, step] += (-0.5 * dt) * i_n * mu_i
+        bkt = bk * theta[step]
+        h0_s = (-bkt - u0) * mu_s + bkt * mu_i
+        h0_i = beta * q_hat * np.dot(k_hat * s_n, mu_i - mu_s) - (gamma + v0) * mu_i
+        lam_s = lam_s + 0.5 * dt * (h1_s + h0_s)
+        lam_i = lam_i + 0.5 * dt * (h1_i + h0_i) + node_i[:, step]
+        if node_s is not None:
+            lam_s += node_s[:, step]
+    return g_u, g_v
+
+
+CHUNK = dynamics._REVERSE_CHUNK
+COSTS = {"rate": CostParams(0.25, 0.5), "dose": CostParams(0.25, 0.5, "dose", rate_max=1.0)}
+
+
+def swept_problem(functional, n_points):
+    """Grouped PL2 (Z = 21, M = 3) under a smooth random schedule.
+
+    ``"dose"`` uses the excess-degree pressure, and its objective has a
+    susceptible node term. Returns ``(gd, grid, u_z, v_z, trajectory,
+    node_s, node_i)``.
+    """
+    excess = functional == "dose"
+    gd = grouped_stats(PL2, partition_equal_mass(PL2, 21), excess_degree=excess)
+    cg = amass_control_groups(gd, 3)
+    grid = TimeGrid(n_points, 20.0)
+    rng = np.random.default_rng(n_points)
+    t = grid.t / grid.duration
+    u = 0.3 + 0.2 * np.sin(2 * np.pi * (t + rng.random((3, 1))))
+    v = 0.3 + 0.2 * np.cos(2 * np.pi * (t + rng.random((3, 1))))
+    u_z, v_z = u[cg.assignment], v[cg.assignment]
+    traj = _integrate(gd, DEFAULTS, grid, u_z, v_z)
+    node_s, node_i, _, _ = _cost_gradient(COSTS[functional], cg, u, v, traj)
+    return gd, grid, u_z, v_z, traj, node_s, node_i
+
+
+class TestSweepsMatchStepwiseLoops:
+    @pytest.mark.parametrize("functional", ["rate", "dose"])
+    @pytest.mark.parametrize("n", [2, 3, CHUNK, CHUNK + 1, CHUNK + 2, 126, 201, 1001])
+    def test_bitwise_equal(self, functional, n):
+        gd, grid, u_z, v_z, traj, node_s, node_i = swept_problem(functional, n)
+        assert (node_s is None) == (functional == "rate")
+        s, i, clamps = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
+        assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+        assert traj.clamp_events == clamps
+        if n == 126:  # a grid that clamps under this schedule
+            assert clamps > 0
+        g_u, g_v = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        ref_u, ref_v = stepwise_reverse(gd, DEFAULTS, grid, s, i, u_z, v_z, node_s, node_i)
+        assert np.array_equal(g_u, ref_u) and np.array_equal(g_v, ref_v)
+
+    @pytest.mark.parametrize("functional", ["rate", "dose"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1001])
+    @pytest.mark.parametrize("n", [2, 3, CHUNK + 1, 201])
+    def test_chunk_length_leaves_gradient_unchanged(self, functional, chunk, n, monkeypatch):
+        gd, grid, u_z, v_z, traj, node_s, node_i = swept_problem(functional, n)
+        want = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        monkeypatch.setattr(dynamics, "_REVERSE_CHUNK", chunk)
+        got = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -4,6 +4,8 @@ Boundary positions and group statistics were frozen from an independent
 straight-loop implementation of the greedy rule plus exact summation.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -350,6 +352,22 @@ class TestGroupingError:
             errs = grouping_error(dist, [1, 2, 3, 4], DEFAULTS, GRID)
         assert errs[0] > errs[1] > 0
         assert errs[2] == errs[3] == 0.0  # three positive classes, three groups
+
+    @pytest.mark.parametrize("zs, listed", [
+        ([6, 1, 2, 3, 4, 5, 6], "4-6"), ([5], "5"), ([6, 3, 4], "4, 6"),
+    ])
+    def test_one_warning_names_every_merged_z(self, zs, listed):
+        # three positive classes among six: Z = 4, 5 and 6 must merge groups
+        dist = DegreeDistribution(6, 11, np.array([0.4, 0.0, 0.3, 0.0, 0.0, 0.3]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            errs = grouping_error(dist, zs, DEFAULTS, GRID)
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            UserWarning,
+            "mass concentration: fewer groups than requested carry probability "
+            f"for z = {listed}; empty groups were merged",
+        )]
+        assert all(err == 0.0 for z, err in zip(zs, errs) if z >= 3)
 
     def test_full_model_accepts_zero_mass_class(self):
         dist = DegreeDistribution(6, 9, np.array([0.4, 0.0, 0.3, 0.3]))
