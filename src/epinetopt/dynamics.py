@@ -12,8 +12,9 @@ control group m = m(z):
 where Theta = sum_l q_l * i_l is the infection pressure (probability
 that a random edge end is infected), computed once per stage. The
 per-group recovered fraction is algebraic because the flows preserve
-s + i + r exactly. One right-hand side and one clamp rule serve every
-sweep, of one system or of a batch of independent systems.
+s + i + r exactly. One Heun loop, with one right-hand side and one clamp
+rule, performs every forward sweep, of one system or of a batch of
+independent systems.
 
 `grouping_error` measures the grouped view against the full one in
 batched sweeps: the reference (full) model, one group per positive-mass
@@ -141,8 +142,8 @@ class Trajectory:
     i: np.ndarray
     r: np.ndarray
     grid: TimeGrid
-    clamp_events: int = 0
-    p_hat: np.ndarray | None = None
+    clamp_events: int
+    p_hat: np.ndarray
 
     @property
     def r_hat(self) -> np.ndarray:
@@ -152,9 +153,11 @@ class Trajectory:
 def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
     """Flow rates for susceptible and infected fractions of each group.
 
-    One system passes (Z,) vectors. A batch of B systems passes ``q_hat``
-    as (B, 1, W) rows and the per-group arrays as (B, W, 1) columns, so
-    ``q_hat @ i`` is each system's Theta, (B, 1, 1), by the same dot.
+    Both stages of every :func:`_heun` step call this. One system passes
+    (Z,) vectors. A batch of B systems passes ``q_hat`` as (B, 1, W) rows
+    and the per-group arrays as (B, W, 1) columns, so ``q_hat @ i`` is
+    each system's Theta, (B, 1, 1), by the same dot. The controls ``u``,
+    ``v`` are per-group arrays or, uncontrolled, the float 0.0.
     """
     infect = (beta * (q_hat @ i)) * (k_hat * s)
     return -infect - u * s, infect - gamma * i - v * i
@@ -176,33 +179,42 @@ def _clip(x):
     return outside
 
 
+def _heun(k_hat, q_hat, xs, u, v, params, grid):
+    """Advance the stacked state ``xs[0]`` over ``grid``, one Heun step at a time.
+
+    ``k_hat``, ``q_hat`` and the states have the shapes of one system or
+    of a batch (see :func:`_rhs`). ``xs`` stores T stacked (s, i) states:
+    the state at grid node n is written to ``xs[n % T]``, so a (N, 2, ...)
+    store keeps every node and a one-entry store is advanced in place.
+    ``u[n]``, ``v[n]`` are the controls at node n. Yields :func:`_clip`'s
+    result after each step.
+    """
+    dt, beta, gamma = grid.dt, params.beta, params.gamma
+    half, t = 0.5 * dt, len(xs)
+    sn, inn = xs[0]
+    for step in range(1, grid.n_points):
+        ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u[step - 1], v[step - 1])
+        ds1, di1 = _rhs(sn + dt * ds0, inn + dt * di0, k_hat, q_hat, beta, gamma, u[step], v[step])
+        xn = xs[step % t]
+        sn = np.add(sn, half * (ds0 + ds1), out=xn[0])
+        inn = np.add(inn, half * (di0 + di1), out=xn[1])
+        yield _clip(xn)
+
+
 def _integrate(gd, params, grid, u_z=None, v_z=None):
-    """Run the Heun loop; ``u_z``/``v_z`` are per-group controls, (Z, N).
+    """Run one system through :func:`_heun`; ``u_z``/``v_z`` are per-group controls, (Z, N).
 
     Each step writes the stacked (s, i), one (2, Z) block, into a time-major
     store. A non-finite state raises :class:`NumericalFailureError`.
     """
-    n, dt = grid.n_points, grid.dt
-    k_hat, q_hat = gd.k_hat, gd.q_hat
-    z = len(k_hat)
+    n, z = grid.n_points, gd.n_groups
     if u_z is None:
         u_z = v_z = np.zeros((z, n))
-    beta, gamma = params.beta, params.gamma
-    half = 0.5 * dt
     x = np.empty((n, 2, z))  # x[step] = (s, i) at grid node step
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     clamp_events = 0
-    sn, inn = x[0, 0], x[0, 1]
-    for step in range(n - 1):
-        ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u_z[:, step], v_z[:, step])
-        sp = sn + dt * ds0
-        ip = inn + dt * di0
-        ds1, di1 = _rhs(sp, ip, k_hat, q_hat, beta, gamma, u_z[:, step + 1], v_z[:, step + 1])
-        xn = x[step + 1]
-        sn = np.add(sn, half * (ds0 + ds1), out=xn[0])
-        inn = np.add(inn, half * (di0 + di1), out=xn[1])
-        if _clip(xn) is not None:
-            clamp_events += 1
+    for outside in _heun(gd.k_hat, gd.q_hat, x, u_z.T, v_z.T, params, grid):
+        clamp_events += outside is not None
     s, i = x.transpose(1, 2, 0).copy()  # (Z, N) each
     bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
     if bad.any():
@@ -348,68 +360,22 @@ def simulate_grouped(
     return _integrate(gd, params, grid, u_z=schedule.u[a], v_z=schedule.v[a])
 
 
-def _batch_aggregates(stats, names, width, params, grid):
-    """Integrate uncontrolled grouped models together; return their aggregates.
-
-    ``stats`` holds B grouped distributions of at most ``width`` groups.
-    Each becomes one row of a zero-padded batch (see :func:`_rhs`): a padded
-    group has zero degree, edge-end weight, mass and state, so it adds
-    nothing to Theta or to the aggregates. Only the (B, N) aggregates s and
-    i are kept. A row's values depend on ``width`` but not on the other
-    rows. A non-finite state or a clamp event raises
-    :class:`NumericalFailureError` naming the first row concerned, from
-    ``names``.
-    """
-    rows = len(stats)
-    p, q = np.zeros((rows, 1, width)), np.zeros((rows, 1, width))
-    k, x = np.zeros((rows, width, 1)), np.zeros((2, rows, width, 1))
-    s, i = x  # views, updated in place
-    for row, gd in enumerate(stats):
-        z = gd.n_groups
-        p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
-        s[row, :z], i[row, :z] = 1.0 - params.i0, params.i0
-    n, dt = grid.n_points, grid.dt
-    s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
-    s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
-    clamps = np.zeros(rows, dtype=int)
-    beta, gamma, half = params.beta, params.gamma, 0.5 * dt
-    for step in range(1, n):
-        ds0, di0 = _rhs(s, i, k, q, beta, gamma, 0.0, 0.0)
-        ds1, di1 = _rhs(s + dt * ds0, i + dt * di0, k, q, beta, gamma, 0.0, 0.0)
-        s += half * (ds0 + ds1)
-        i += half * (di0 + di1)
-        outside = _clip(x)
-        if outside is not None:
-            clamps += outside.any(axis=(0, 2, 3))
-        s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
-    bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
-    if bad.any():
-        row, step = np.argwhere(bad)[0]
-        raise NumericalFailureError(f"non-finite state of {names[row]} at grid step {step}")
-    if clamps.any():
-        row = int(np.argmax(clamps > 0))
-        raise NumericalFailureError(
-            f"{names[row]} left [0, 1] in {clamps[row]} steps (clamp events); "
-            "the time grid is too coarse"
-        )
-    return s_agg, i_agg
-
-
 @fp_checked
 def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list[float]:
     """Combined relative error of Z-grouped models against the full model.
 
     Integrates the uncontrolled reference (full) model and the grouped
     model of each Z in ``group_counts`` from identical initial conditions,
-    as the rows of zero-padded batches (:func:`_batch_aggregates`) of the
+    as the rows of zero-padded batches (see :func:`_rhs`) of the
     reference's width W, one group per positive-mass degree class. The
     first row is the reference; the row of a Z holds
     ``grouped_stats(dist, partition_equal_mass(dist, Z))``; one warning
-    lists every Z whose groups had to be merged. The rows advance
-    in blocks of at most ``_BLOCK_ENTRIES`` entries of state and stored
-    aggregates, so memory does not grow with the number of rows. W is
-    fixed by ``dist``, so the error of a Z does not depend on the other
-    rows or on the blocking.
+    lists every Z whose groups had to be merged. A padded group has zero
+    degree, edge-end weight, mass and state, so it adds nothing to Theta or
+    to the aggregates. The rows advance in blocks of at most
+    ``_BLOCK_ENTRIES`` entries of state and stored aggregates, so memory
+    does not grow with the number of rows. W is fixed by ``dist``, so the
+    error of a Z does not depend on the other rows or on the blocking.
 
     Returns one error per requested Z: the relative L2 error of the stacked
     aggregate trajectories (s, i, r) sampled on the grid,
@@ -422,13 +388,40 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     """
     groupings = [_reference_grouping(dist), *_equal_mass_partitions(dist, group_counts)]
     names = ["the reference model", *(f"z={z}" for z in group_counts)]
-    width = groupings[0].n_groups
-    per_block = max(1, _BLOCK_ENTRIES // (width + 2 * grid.n_points))
+    n, width = grid.n_points, groupings[0].n_groups
+    per_block = max(1, _BLOCK_ENTRIES // (width + 2 * n))
+    zeros = [0.0] * n  # uncontrolled; plain floats run faster here than zero arrays
     full, errors = None, []
     for start in range(0, len(groupings), per_block):
-        block = slice(start, start + per_block)
-        stats = [grouped_stats(dist, g) for g in groupings[block]]
-        s_agg, i_agg = _batch_aggregates(stats, names[block], width, params, grid)
+        block = groupings[start:start + per_block]
+        rows = len(block)
+        p, q = np.zeros((rows, 1, width)), np.zeros((rows, 1, width))
+        k, x = np.zeros((rows, width, 1)), np.zeros((1, 2, rows, width, 1))
+        s, i = x[0]  # views, advanced in place
+        for row, grouping in enumerate(block):
+            gd = grouped_stats(dist, grouping)
+            z = gd.n_groups
+            p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
+            s[row, :z], i[row, :z] = 1.0 - params.i0, params.i0
+        s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
+        s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
+        clamps = np.zeros(rows, dtype=int)
+        for step, outside in enumerate(_heun(k, q, x, zeros, zeros, params, grid), 1):
+            if outside is not None:
+                clamps += outside.any(axis=(0, 2, 3))
+            s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
+        bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
+        if bad.any():
+            row, step = np.argwhere(bad)[0]
+            raise NumericalFailureError(
+                f"non-finite state of {names[start + row]} at grid step {step}"
+            )
+        if clamps.any():
+            row = int(np.argmax(clamps > 0))
+            raise NumericalFailureError(
+                f"{names[start + row]} left [0, 1] in {clamps[row]} steps (clamp events); "
+                "the time grid is too coarse"
+            )
         if full is None:
             full = s_agg[0], i_agg[0], 1.0 - s_agg[0] - i_agg[0]
             s_agg, i_agg = s_agg[1:], i_agg[1:]

@@ -285,6 +285,8 @@ def read_distribution(path) -> DegreeDistribution:
             probs.append(float(parts[1]))
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from exc
+        if degrees[-1] < 1:
+            raise IngestionError(f"{path}:{lineno}: degree must be >= 1, got {parts[0]}")
         if not (probs[-1] >= 0 and math.isfinite(probs[-1])):  # also rejects nan
             raise IngestionError(
                 f"{path}:{lineno}: probability must be finite and >= 0, got {parts[1]}"

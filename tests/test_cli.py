@@ -392,6 +392,18 @@ class TestExitCodes:
         assert err.startswith(f"i/o error: {path}:{line}: probability must be finite")
         assert not (tmp_path / "out").exists()
 
+    def test_degree_below_one_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "dist.txt"
+        path.write_text("0 0.5\n1 0.5\n")
+        code = main([
+            "simulate", "--output", str(tmp_path / "out"),
+            "--set", "network.kind=distribution", "--set", f"network.path={path}",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {path}:1: degree must be >= 1, got 0")
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_bytes(b"# exp\xe9rience\n[cost]\nb = 0.25\n")

@@ -436,3 +436,30 @@ class TestSweepsMatchStepwiseLoops:
         monkeypatch.setattr(dynamics, "_REVERSE_CHUNK", chunk)
         got = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestViewsShareOneStep:
+    """A one-row batch and a single system take the same Heun steps."""
+
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["PL2", "ER"])
+    @pytest.mark.parametrize("z", [7, 21, "all"])
+    @pytest.mark.parametrize("n", [126, 1001])
+    def test_unpadded_row_matches_integrate(self, dist, z, n):
+        if z == "all":  # one group per degree class
+            grouping = Grouping(np.arange(dist.n_classes + 1))
+        else:
+            grouping = partition_equal_mass(dist, z)
+        gd = grouped_stats(dist, grouping)
+        grid = TimeGrid(n, 20.0)
+        traj = _integrate(gd, DEFAULTS, grid)
+        x = np.empty((1, 2, 1, gd.n_groups, 1))  # a one-entry store of one row
+        x[0, 0], x[0, 1] = 1.0 - DEFAULTS.i0, DEFAULTS.i0
+        zeros = [0.0] * n
+        k, q = gd.k_hat[None, :, None], gd.q_hat[None, None, :]
+        steps = dynamics._heun(k, q, x, zeros, zeros, DEFAULTS, grid)
+        clamps = sum(outside is not None for outside in steps)
+        assert np.array_equal(x[0, 0, 0, :, 0], traj.s_hat[:, -1])
+        assert np.array_equal(x[0, 1, 0, :, 0], traj.i_hat[:, -1])
+        assert clamps == traj.clamp_events
+        # N = 126 clamps on PL2 and on ER's full model, so the clip is covered
+        assert (clamps > 0) == (n == 126 and (dist is PL2 or z == "all"))

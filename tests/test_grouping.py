@@ -337,6 +337,24 @@ class TestGroupingError:
         monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
         assert grouping_error(PL2, zs, DEFAULTS, GRID) == whole
 
+    def test_clamp_in_a_later_block_names_its_row(self, monkeypatch):
+        # blocks of 7 rows: the reference and z = 1..6, then z = 7..10, whose
+        # last row is made to clamp in every step
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
+        clip = dynamics._clip
+
+        def clamp_second_block(x):
+            clip(x)
+            if x.shape[1] == 7:
+                return None
+            outside = np.zeros(x.shape, dtype=bool)
+            outside[:, 3] = True
+            return outside
+
+        monkeypatch.setattr(dynamics, "_clip", clamp_second_block)
+        with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] in 1000 steps"):
+            grouping_error(PL2, list(range(1, 11)), DEFAULTS, GRID)
+
     @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49), (251, 43)])
     def test_clamped_sweep_fails_naming_the_row(self, n, clamps):
         # the full model clamps on these grids, as simulate_full counts it

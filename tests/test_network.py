@@ -415,6 +415,18 @@ class TestSerialization:
         with pytest.raises(IngestionError, match=rf"^{re.escape(str(p))}:{line}: probability must be finite"):
             read_distribution(p)
 
+    @pytest.mark.parametrize(
+        "text, line, degree",
+        [("0 0.5\n1 0.5\n", 1, "0"), ("# degree probability\n-2 0.5\n1 0.5\n", 2, "-2")],
+        ids=["zero", "negative"],
+    )
+    def test_rejects_degree_below_one_with_line_number(self, tmp_path, text, line, degree):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        want = rf"^{re.escape(str(p))}:{line}: degree must be >= 1, got {degree}$"
+        with pytest.raises(IngestionError, match=want):
+            read_distribution(p)
+
     def test_unnormalized_message_prints_a_plain_float(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 0.5\n2 0.25\n")
