@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError(f"grouping.z: must be >= 1, got {self.n_groups}")
         if self.n_control < 1:
             raise ConfigError(f"grouping.m: must be >= 1, got {self.n_control}")
+        if not self.output_dir.strip():
+            raise ConfigError("run.output: must not be empty")
 
     @classmethod
     def from_file(cls, path=None, overrides=()) -> "ExperimentConfig":

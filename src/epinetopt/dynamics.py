@@ -45,7 +45,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError, fp_checked
-from .grouping import ControlGroups, GroupedDistribution, Grouping, _equal_mass_partitions, grouped_stats
+from .grouping import ControlGroups, GroupedDistribution, grouped_stats
+from .grouping import _equal_mass_partitions, _partition_equal_mass
 from .network import DegreeDistribution
 
 if TYPE_CHECKING:
@@ -305,25 +306,15 @@ def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
     return g_u, g_v
 
 
-def _reference_grouping(dist: DegreeDistribution) -> Grouping:
-    """The full model's grouping: each positive-mass degree class its own group.
-
-    A zero-mass class adds nothing to Theta or to the aggregates, so it is
-    folded into the group of the class before it (the first positive class
-    takes any empty classes below it).
-    """
-    positive = np.flatnonzero(dist.pmf > 0)
-    return Grouping(np.r_[0, positive[1:], dist.n_classes])
-
-
 @fp_checked
 def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGrid) -> Trajectory:
     """Integrate the uncontrolled epidemic over every degree class.
 
-    Each positive-mass degree class is its own group, so the trajectory has
-    one row per such class (one per degree class when none is empty).
+    The full model is the partition at Z = number of classes: one group,
+    and one trajectory row, per positive-mass degree class.
     """
-    return _integrate(grouped_stats(dist, _reference_grouping(dist)), params, grid)
+    full = _partition_equal_mass(dist, dist.n_classes)
+    return _integrate(grouped_stats(dist, full), params, grid)
 
 
 @fp_checked
@@ -366,9 +357,9 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
 
     Integrates the uncontrolled reference (full) model and the grouped
     model of each Z in ``group_counts`` from identical initial conditions,
-    as the rows of zero-padded batches (see :func:`_rhs`) of the
-    reference's width W, one group per positive-mass degree class. The
-    first row is the reference; the row of a Z holds
+    as the rows of zero-padded batches (see :func:`_rhs`). The first row is
+    the reference, the partition at Z = number of classes, whose width W
+    is one group per positive-mass degree class; the row of a Z holds
     ``grouped_stats(dist, partition_equal_mass(dist, Z))``; one warning
     lists every Z whose groups had to be merged. A padded group has zero
     degree, edge-end weight, mass and state, so it adds nothing to Theta or
@@ -386,9 +377,10 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     if a state turns non-finite or if a row has a clamp event: a clipped
     trajectory would make the error meaningless.
     """
-    groupings = [_reference_grouping(dist), *_equal_mass_partitions(dist, group_counts)]
+    reference = _partition_equal_mass(dist, dist.n_classes)  # the full model
+    groupings = [reference, *_equal_mass_partitions(dist, group_counts)]
     names = ["the reference model", *(f"z={z}" for z in group_counts)]
-    n, width = grid.n_points, groupings[0].n_groups
+    n, width = grid.n_points, reference.n_groups
     per_block = max(1, _BLOCK_ENTRIES // (width + 2 * n))
     zeros = [0.0] * n  # uncontrolled; plain floats run faster here than zero arrays
     full, errors = None, []

@@ -3,9 +3,10 @@
 Degree classes are merged into Z contiguous groups of roughly equal
 probability mass, shrinking the ODE system from 2|K| to 2Z equations;
 the Z groups are further amassed into M control groups (one vaccination
-and one treatment signal each). How much the compression distorts the
-aggregate epidemic trajectories is measured by
-:func:`~epinetopt.dynamics.grouping_error`.
+and one treatment signal each). Every partition of the degree classes is
+made here, the full model's too: the partition at Z = number of classes.
+How much the compression distorts the aggregate epidemic trajectories is
+measured by :func:`~epinetopt.dynamics.grouping_error`.
 """
 
 from __future__ import annotations
@@ -122,33 +123,23 @@ class ControlGroups:
 def _greedy_boundaries(masses: np.ndarray, n_groups: int) -> np.ndarray:
     """Close group z at the smallest index where cumulative mass >= z/n_groups.
 
-    A feasibility guard caps each closing index so that every remaining
-    group still receives at least one class; with n_groups == len(masses)
-    the guard forces the identity partition.
+    A guard keeps each group nonempty and leaves a class per open group:
+    b_z = min(max(cut_z, b_(z-1) + 1), K - Z + z) for K classes, Z groups
+    and b_0 = 0. So b_z - z is the running maximum of min(cut_z - z, K - Z),
+    floored at 0: exact in integers. With Z == K it forces the identity.
     """
     n = len(masses)
     cum = np.cumsum(masses)
-    boundaries = [0]
-    for z in range(1, n_groups):
-        lo = boundaries[-1]  # group must keep at least one class
-        hi = n - (n_groups - z)  # leave one class for each group still open
-        cut = int(np.searchsorted(cum, z / n_groups * cum[-1], side="left")) + 1
-        boundaries.append(min(max(cut, lo + 1), hi))
-    boundaries.append(n)
-    return np.asarray(boundaries, dtype=int)
+    z = np.arange(n_groups)
+    cuts = np.searchsorted(cum, z[1:] / n_groups * cum[-1], side="left") + 1
+    lifted = np.maximum.accumulate(np.r_[0, np.minimum(cuts - z[1:], n - n_groups)])
+    return np.r_[lifted + z, n]
 
 
 def _merge_zero_mass(boundaries: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Drop boundaries of zero-mass groups (merging them into a neighbor)."""
-    keep = [0]
-    for z in range(len(boundaries) - 1):
-        if masses[boundaries[z] : boundaries[z + 1]].sum() > 0:
-            keep.append(boundaries[z + 1])
-        else:
-            # merge into the following group; a trailing empty group folds back
-            if z == len(boundaries) - 2:
-                keep[-1] = boundaries[z + 1]
-    return np.asarray(sorted(set(keep)), dtype=int)
+    """Merge each zero-mass group into the next; the last carries mass, as the last class does."""
+    carries = np.add.reduceat(masses, boundaries[:-1]) > 0
+    return np.r_[0, boundaries[1:][carries]]
 
 
 def partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
@@ -167,9 +158,9 @@ def partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
         where the cumulative mass reaches z/n_groups, while guaranteeing
         every group at least one class. ``n_groups == dist.n_classes``
         yields the identity grouping. If zero-mass classes force some
-        groups to carry no probability at all, those groups are merged
-        into their neighbors and the achieved (smaller) count is returned
-        with a warning.
+        groups to carry no probability at all, each such group is merged
+        into the group that follows it and the achieved (smaller) count
+        is returned with a warning.
     """
     grouping = _partition_equal_mass(dist, n_groups)
     if grouping.n_groups < n_groups:
@@ -204,9 +195,7 @@ def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Group
 def _partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
     """:func:`partition_equal_mass` without the warning when groups are merged."""
     if not 1 <= n_groups <= dist.n_classes:
-        raise ParameterError(
-            f"group count must be in [1, {dist.n_classes}], got {n_groups}", "z"
-        )
+        raise ParameterError(f"group count must be in [1, {dist.n_classes}], got {n_groups}", "z")
     return Grouping(_merge_zero_mass(_greedy_boundaries(dist.pmf, n_groups), dist.pmf))
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "objective_and_gradient",
     "optimize",
     "sweep",
+    "improvement_percent",
 ]
 
 # Stopping rules and line-search settings of optimize. The memory and the

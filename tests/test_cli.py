@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from epinetopt import cli
 from epinetopt.cli import ExperimentConfig, main, write_history_csv
 from epinetopt.errors import ConfigError
 from epinetopt.network import read_distribution
@@ -412,6 +413,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config file: ") and str(path) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--set", "run.output="], ["--output", ""], ["--output", "  "],
+    ], ids=["set", "flag", "whitespace"])
+    def test_empty_output_is_config_error_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "optimize", no_solve)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", *SMALL, *flags]) == 1
+        assert capsys.readouterr().err == "error: run.output: must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_field_is_config_error(self, tmp_path):
         code = main(["compare", "--output", str(tmp_path), "--set", "epidemic.bogus=1"])

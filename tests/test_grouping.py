@@ -23,6 +23,8 @@ from epinetopt.grouping import (
     ControlGroups,
     GroupedDistribution,
     Grouping,
+    _greedy_boundaries,
+    _partition_equal_mass,
     amass_control_groups,
     grouped_stats,
     partition_equal_mass,
@@ -57,6 +59,39 @@ def reference_greedy(masses, n_groups):
         b.append(min(max(cut, b[-1] + 1), n - (n_groups - z)))
     b.append(n)
     return np.array(b)
+
+
+def loop_greedy_boundaries(masses, n_groups):
+    """Reference for ``_greedy_boundaries``: the guard applied one group at a time."""
+    n = len(masses)
+    cum = np.cumsum(masses)
+    boundaries = [0]
+    for z in range(1, n_groups):
+        lo = boundaries[-1]  # group must keep at least one class
+        hi = n - (n_groups - z)  # leave one class for each group still open
+        cut = int(np.searchsorted(cum, z / n_groups * cum[-1], side="left")) + 1
+        boundaries.append(min(max(cut, lo + 1), hi))
+    boundaries.append(n)
+    return np.asarray(boundaries, dtype=int)
+
+
+def loop_merge_zero_mass(boundaries, masses):
+    """Reference for the merge of empty groups, one group at a time: each
+    zero-mass group joins the following group, a trailing one folds back."""
+    keep = [0]
+    for z in range(len(boundaries) - 1):
+        if masses[boundaries[z] : boundaries[z + 1]].sum() > 0:
+            keep.append(boundaries[z + 1])
+        elif z == len(boundaries) - 2:
+            keep[-1] = boundaries[z + 1]
+    return np.asarray(sorted(set(keep)), dtype=int)
+
+
+def zero_mass_distribution(rng, n_classes):
+    """Random pmf with positive end classes and about half its interior classes empty."""
+    raw = rng.random(n_classes) * (rng.random(n_classes) < 0.5)
+    raw[[0, -1]] = rng.random(2) + 0.01
+    return DegreeDistribution(1, n_classes, raw / raw.sum())
 
 
 def per_z_grouping_error(dist, group_counts, params, grid):
@@ -140,6 +175,41 @@ class TestPartition:
             Grouping(np.array([0, 3, 3, 5]))  # empty group
         with pytest.raises(ParameterError):
             Grouping(np.array([1, 3, 5]))  # does not start at 0
+
+
+class TestPartitionRule:
+    """The vectorized greedy rule and merge against their group-by-group loops."""
+
+    def test_every_count_matches_the_loops(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            dist = zero_mass_distribution(rng, int(rng.integers(2, 80)))
+            for z in range(1, dist.n_classes + 1):
+                greedy = loop_greedy_boundaries(dist.pmf, z)
+                assert np.array_equal(_greedy_boundaries(dist.pmf, z), greedy)
+                b = _partition_equal_mass(dist, z).boundaries
+                assert np.array_equal(b, loop_merge_zero_mass(greedy, dist.pmf))
+                assert np.all(np.add.reduceat(dist.pmf, b[:-1]) > 0)
+
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_control_groups_match_the_loop(self, dist):
+        gd = grouped_stats(dist, partition_equal_mass(dist, 21))
+        for m in range(1, 22):
+            cg = amass_control_groups(gd, m)
+            assert np.array_equal(np.r_[cg.starts, 21], loop_greedy_boundaries(gd.p_hat, m))
+            assert np.all(cg.x > 0)
+
+    def test_full_model_is_the_partition_at_every_class(self):
+        dist = zero_mass_distribution(np.random.default_rng(5), 40)
+        assert np.any(dist.pmf == 0)
+        with pytest.warns(UserWarning, match="merged"):
+            grouping = partition_equal_mass(dist, dist.n_classes)
+        full = simulate_full(dist, DEFAULTS, GRID)
+        grouped = simulate_grouped(grouped_stats(dist, grouping), None, None, DEFAULTS, GRID)
+        for name in ("s_hat", "i_hat", "s", "i", "r", "p_hat", "clamp_events"):
+            assert np.array_equal(getattr(full, name), getattr(grouped, name)), name
+        with pytest.warns(UserWarning, match="merged"):
+            assert grouping_error(dist, [dist.n_classes], DEFAULTS, GRID) == [0.0]
 
 
 class TestGroupedStats:

@@ -80,6 +80,17 @@ def test_model_coefficient_reads_are_found():
     assert model_coefficient_reads(source) == [(1, "beta"), (1, "gamma"), (2, "p_hat")]
 
 
+def test_package_exports_every_module_list():
+    # the package's list is the union of the lists of network .. optimizer
+    # and the error classes
+    modules = [importlib.import_module(f"epinetopt.{m}") for m in LAYERS[1:-1]]
+    errors = {name for name, obj in vars(epinetopt.errors).items()
+              if isinstance(obj, type) and issubclass(obj, epinetopt.errors.EpinetoptError)}
+    exported = [name for name in epinetopt.__all__ if name != "__version__"]
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set().union(*(m.__all__ for m in modules)) | errors
+
+
 def test_benchmark_tracer_names_resolve():
     path = PACKAGE.parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
