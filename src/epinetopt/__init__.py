@@ -19,113 +19,20 @@ model, integrating them together in batched sweeps. The ``epinetopt``
 command line drives the same pipeline from a config file.
 """
 
-from .control import (
-    ControlSchedule,
-    CostBreakdown,
-    CostParams,
-    ResourceAllocation,
-    constant_strategy,
-    evaluate_cost,
-    resource_allocation,
-    zero_strategy,
-)
-from .dynamics import (
-    DEFAULT_GRID_POINTS,
-    EpidemicParams,
-    TimeGrid,
-    Trajectory,
-    cumulative_infected,
-    grouping_error,
-    simulate_full,
-    simulate_grouped,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDistributionError,
-    EpinetoptError,
-    IngestionError,
-    NumericalFailureError,
-    ParameterError,
-)
-from .grouping import (
-    ControlGroups,
-    GroupedDistribution,
-    Grouping,
-    amass_control_groups,
-    grouped_stats,
-    partition_equal_mass,
-)
-from .network import (
-    DegreeDistribution,
-    EdgeListStats,
-    format_distribution,
-    from_edge_list,
-    load_edge_list,
-    poisson_distribution,
-    power_law_distribution,
-    read_distribution,
-)
-from .optimizer import (
-    OptimizationProblem,
-    OptimizationResult,
-    SweepPoint,
-    improvement_percent,
-    objective_and_gradient,
-    optimize,
-    sweep,
-)
+# Each module's __all__ is its public API; the package re-exports them in
+# layer order. The command line (cli) stays unexported.
+from . import errors, network, grouping, dynamics, control, optimizer
+from .errors import *
+from .network import *
+from .grouping import *
+from .dynamics import *
+from .control import *
+from .optimizer import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "EpinetoptError",
-    "ParameterError",
-    "DegenerateDistributionError",
-    "IngestionError",
-    "NumericalFailureError",
-    "ConfigError",
-    # network
-    "DegreeDistribution",
-    "EdgeListStats",
-    "poisson_distribution",
-    "power_law_distribution",
-    "from_edge_list",
-    "load_edge_list",
-    "read_distribution",
-    "format_distribution",
-    # grouping
-    "Grouping",
-    "GroupedDistribution",
-    "ControlGroups",
-    "partition_equal_mass",
-    "grouped_stats",
-    "amass_control_groups",
-    # dynamics
-    "DEFAULT_GRID_POINTS",
-    "EpidemicParams",
-    "TimeGrid",
-    "Trajectory",
-    "simulate_full",
-    "simulate_grouped",
-    "grouping_error",
-    "cumulative_infected",
-    # control
-    "CostParams",
-    "ControlSchedule",
-    "CostBreakdown",
-    "ResourceAllocation",
-    "constant_strategy",
-    "zero_strategy",
-    "evaluate_cost",
-    "resource_allocation",
-    # optimizer
-    "OptimizationProblem",
-    "OptimizationResult",
-    "SweepPoint",
-    "objective_and_gradient",
-    "optimize",
-    "sweep",
-    "improvement_percent",
+    *errors.__all__, *network.__all__, *grouping.__all__,
+    *dynamics.__all__, *control.__all__, *optimizer.__all__,
 ]

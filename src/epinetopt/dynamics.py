@@ -64,7 +64,9 @@ __all__ = [
 ]
 
 # Grid fine enough that the default epidemics are clamp-free and doubling
-# the resolution moves the cumulative infected integral by < 1e-4.
+# the resolution moves the cumulative infected integral by < 1e-4. The
+# aggregate s, i and r of the full model are off by up to 5.3e-3 absolute
+# near the peak, ~14x less at 4001 points (tests/test_dynamics.py's RK4 oracle).
 DEFAULT_GRID_POINTS = 1001
 
 # A clamp event is a step leaving [0,1] by more than this before clipping.
@@ -377,6 +379,7 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     if a state turns non-finite or if a row has a clamp event: a clipped
     trajectory would make the error meaningless.
     """
+    group_counts = list(group_counts)  # read three times below
     reference = _partition_equal_mass(dist, dist.n_classes)  # the full model
     groupings = [reference, *_equal_mass_partitions(dist, group_counts)]
     names = ["the reference model", *(f"z={z}" for z in group_counts)]

@@ -3,6 +3,15 @@
 import functools
 import warnings
 
+__all__ = [
+    "EpinetoptError",
+    "ParameterError",
+    "DegenerateDistributionError",
+    "IngestionError",
+    "NumericalFailureError",
+    "ConfigError",
+]
+
 
 class EpinetoptError(Exception):
     """Base class for all package errors."""

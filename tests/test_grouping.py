@@ -409,7 +409,8 @@ class TestGroupingError:
 
     def test_clamp_in_a_later_block_names_its_row(self, monkeypatch):
         # blocks of 7 rows: the reference and z = 1..6, then z = 7..10, whose
-        # last row is made to clamp in every step
+        # last row is made to clamp in every step; a one-pass iterable of
+        # counts names its rows too
         monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
         clip = dynamics._clip
 
@@ -422,8 +423,9 @@ class TestGroupingError:
             return outside
 
         monkeypatch.setattr(dynamics, "_clip", clamp_second_block)
-        with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] in 1000 steps"):
-            grouping_error(PL2, list(range(1, 11)), DEFAULTS, GRID)
+        for counts in (list(range(1, 11)), iter(range(1, 11))):
+            with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] in 1000 steps"):
+                grouping_error(PL2, counts, DEFAULTS, GRID)
 
     @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49), (251, 43)])
     def test_clamped_sweep_fails_naming_the_row(self, n, clamps):
@@ -445,17 +447,19 @@ class TestGroupingError:
         ([6, 1, 2, 3, 4, 5, 6], "4-6"), ([5], "5"), ([6, 3, 4], "4, 6"),
     ])
     def test_one_warning_names_every_merged_z(self, zs, listed):
-        # three positive classes among six: Z = 4, 5 and 6 must merge groups
+        # three positive classes among six: Z = 4, 5 and 6 must merge groups,
+        # whether the counts come as a list or as a one-pass iterator
         dist = DegreeDistribution(6, 11, np.array([0.4, 0.0, 0.3, 0.0, 0.0, 0.3]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            errs = grouping_error(dist, zs, DEFAULTS, GRID)
-        assert [(w.category, str(w.message)) for w in caught] == [(
-            UserWarning,
-            "mass concentration: fewer groups than requested carry probability "
-            f"for z = {listed}; empty groups were merged",
-        )]
-        assert all(err == 0.0 for z, err in zip(zs, errs) if z >= 3)
+        for counts in (zs, iter(zs)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                errs = grouping_error(dist, counts, DEFAULTS, GRID)
+            assert [(w.category, str(w.message)) for w in caught] == [(
+                UserWarning,
+                "mass concentration: fewer groups than requested carry probability "
+                f"for z = {listed}; empty groups were merged",
+            )]
+            assert all(err == 0.0 for z, err in zip(zs, errs) if z >= 3)
 
     def test_full_model_accepts_zero_mass_class(self):
         dist = DegreeDistribution(6, 9, np.array([0.4, 0.0, 0.3, 0.3]))

@@ -4,7 +4,9 @@ Each module may import only from modules earlier in ``LAYERS``. Every
 import is checked, including those inside functions; imports under
 ``if TYPE_CHECKING:`` are for annotations only and are skipped. The
 benchmark's tracer wraps the cross-module calls by the names the calling
-modules look up, so those names are checked to resolve as well.
+modules look up, so those names are checked to resolve as well, and
+every name a module imports must be read in it: no import stays only for
+the tracer.
 """
 
 import ast
@@ -81,14 +83,62 @@ def test_model_coefficient_reads_are_found():
 
 
 def test_package_exports_every_module_list():
-    # the package's list is the union of the lists of network .. optimizer
-    # and the error classes
-    modules = [importlib.import_module(f"epinetopt.{m}") for m in LAYERS[1:-1]]
+    # the package's list is the union of the module lists, each name bound to
+    # the object its module defines; errors lists exactly its exception classes
+    modules = [importlib.import_module(f"epinetopt.{m}") for m in LAYERS[:-1]]
     errors = {name for name, obj in vars(epinetopt.errors).items()
               if isinstance(obj, type) and issubclass(obj, epinetopt.errors.EpinetoptError)}
+    assert set(epinetopt.errors.__all__) == errors
     exported = [name for name in epinetopt.__all__ if name != "__version__"]
     assert len(exported) == len(set(exported))
-    assert set(exported) == set().union(*(m.__all__ for m in modules)) | errors
+    assert set(exported) == set().union(*(m.__all__ for m in modules))
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(epinetopt, name) is obj
+            assert getattr(obj, "__module__", module.__name__) == module.__name__
+    namespace = {}
+    exec("from epinetopt import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(epinetopt.__all__)
+
+
+def unused_imports(source):
+    """(line, name) of every name ``source`` imports and never reads.
+
+    A name read only inside a string annotation counts as read.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
+    annotations = [a for node in ast.walk(tree)
+                   for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if a is not None]
+    strings = [c.value for a in annotations for c in ast.walk(a)
+               if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    expressions = [tree, *(ast.parse(s, mode="eval") for s in strings)]
+    read = {n.id for e in expressions for n in ast.walk(e)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_every_import_is_used(module):
+    # the names the benchmark's tracer wraps must be live call sites too,
+    # not imports kept only for it
+    assert unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_unused_imports_are_found():
+    source = (
+        "import os, numpy as np\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .m import A, B\n"
+        "def f(a: 'A | None') -> None:\n    os = np\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (4, "B")]
 
 
 def test_benchmark_tracer_names_resolve():
