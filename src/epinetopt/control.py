@@ -208,9 +208,7 @@ def evaluate_cost(
     The trajectory must have been produced under ``schedule`` on the same
     grid; only the grid compatibility can be (and is) checked here.
     """
-    if schedule.grid.n_points != traj.grid.n_points or not np.isclose(
-        schedule.grid.duration, traj.grid.duration
-    ):
+    if not schedule.grid.matches(traj.grid):
         raise ParameterError("schedule and trajectory use different grids")
     if schedule.n_control != cg.n_control:
         raise ParameterError(

@@ -121,6 +121,10 @@ class TimeGrid:
     def t(self) -> np.ndarray:
         return np.linspace(0.0, self.duration, self.n_points)
 
+    def matches(self, other: "TimeGrid") -> bool:
+        """Same node count and (to rounding) the same duration as ``other``."""
+        return self.n_points == other.n_points and bool(np.isclose(self.duration, other.duration))
+
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoidal weights (dt at interior nodes, dt/2 at the ends)."""
         w = np.full(self.n_points, self.dt)
@@ -330,8 +334,9 @@ def simulate_grouped(
     """Integrate the grouped epidemic, optionally under a control schedule.
 
     With ``schedule=None`` the uncontrolled grouped dynamics are run.
-    Otherwise the schedule must be sampled on ``grid`` and nonnegative;
-    its M vaccination/treatment signals are spread over the Z groups via
+    Otherwise the schedule must be sampled on ``grid`` (a schedule that
+    carries its own grid must carry a matching one) and nonnegative; its
+    M vaccination/treatment signals are spread over the Z groups via
     ``cg.assignment``.
     """
     if schedule is None:
@@ -347,6 +352,9 @@ def simulate_grouped(
         raise ParameterError(
             f"schedule sampled at {n} points, grid has {grid.n_points}"
         )
+    own = getattr(schedule, "grid", grid)  # a bare (u, v) pair is taken to be on grid
+    if not own.matches(grid):
+        raise ParameterError(f"schedule spans {own.duration} time units, grid {grid.duration}")
     if not (schedule.u.min() >= 0 and schedule.v.min() >= 0):  # also rejects nan
         raise ParameterError("control rates must be nonnegative")
     a = cg.assignment

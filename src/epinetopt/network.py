@@ -287,6 +287,11 @@ def read_distribution(path) -> DegreeDistribution:
             raise IngestionError(f"{path}:{lineno}: {exc}") from exc
         if degrees[-1] < 1:
             raise IngestionError(f"{path}:{lineno}: degree must be >= 1, got {parts[0]}")
+        if len(degrees) > 1 and degrees[-1] <= degrees[-2]:
+            raise IngestionError(
+                f"{path}:{lineno}: degrees must be strictly increasing, "
+                f"got {degrees[-1]} after {degrees[-2]}"
+            )
         if not (probs[-1] >= 0 and math.isfinite(probs[-1])):  # also rejects nan
             raise IngestionError(
                 f"{path}:{lineno}: probability must be finite and >= 0, got {parts[1]}"
@@ -294,8 +299,6 @@ def read_distribution(path) -> DegreeDistribution:
     if not degrees:
         raise IngestionError(f"{path}: empty distribution file")
     k = np.asarray(degrees)
-    if np.any(np.diff(k) <= 0):
-        raise IngestionError(f"{path}: degrees must be strictly increasing")
     pmf = np.zeros(k[-1] - k[0] + 1)
     pmf[k - k[0]] = probs
     total = pmf.sum()

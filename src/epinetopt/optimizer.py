@@ -177,33 +177,41 @@ def optimize(
     constant beta/2, gamma/2 heuristic by default, clipped to the rate
     bound of ``problem.cost``). Variables held at a bound are kept out of
     the quasi-Newton direction, as in projected Newton methods (Bertsekas,
-    SIAM J. Control Optim. 20, 1982). Stops when the projected gradient
-    norm falls below 1e-6, after 5 consecutive iterations with a relative
-    objective decrease below 1e-9, or at 2000 iterations; a failed line
-    search returns the best iterate found with ``converged=False``. The
-    reported J never exceeds the initial J.
+    SIAM J. Control Optim. 20, 1982). Each iterate, the first included, is
+    evaluated, recorded and tested once: it has converged if its projected
+    gradient norm is below 1e-6 or it ends the 5th consecutive step with a
+    relative decrease below 1e-9. The solve stops there, at the 2000th
+    accepted step's iterate, or when the line search fails even along
+    steepest descent (``converged=False``). J never exceeds the initial J.
     """
-    m, n = problem.cg.n_control, problem.grid.n_points
+    m = problem.cg.n_control
     if initial is None:
         initial = constant_strategy(problem.params, problem.grid, m)
-    if initial.n_control != m or initial.grid.n_points != n:
+    if initial.n_control != m or not initial.grid.matches(problem.grid):
         raise ParameterError("initial schedule does not match the problem layout")
     upper = problem.cost.rate_max
     x = _project(np.concatenate([initial.u.ravel(), initial.v.ravel()]), upper)
-
     evaluation = _forward(problem, *_split(problem, x))
-    j, g = objective_and_gradient(problem, x, evaluation)
-    history = [j]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    stall = 0
-    converged = False
-    held = _active(x, g, upper)
-    pg = np.where(held, 0.0, g)  # the projected gradient
-    pg_norm = float(np.linalg.norm(pg))
+    history, pairs, stall = [], [], 0  # pairs: the L-BFGS (s, y, 1 / s.y)
 
-    for _ in range(_MAX_ITERATIONS):
-        if pg_norm < _GRADIENT_TOL:
-            converged = True
+    while True:
+        # the iterate x, reached by a step from x_old unless it is the first
+        j, g = objective_and_gradient(problem, x, evaluation)
+        if history:
+            s, y = x - x_old, g - g_old
+            sy = float(s @ y)
+            if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
+                if len(pairs) > _MEMORY:
+                    pairs.pop(0)
+            decrease = (history[-1] - j) / max(1.0, abs(j))
+            stall = stall + 1 if decrease < _RELATIVE_DECREASE_TOL else 0
+        history.append(j)
+        held = _active(x, g, upper)
+        pg = np.where(held, 0.0, g)  # the projected gradient
+        pg_norm = float(np.linalg.norm(pg))
+        converged = pg_norm < _GRADIENT_TOL or stall >= _STALL_ITERATIONS
+        if converged or len(history) > _MAX_ITERATIONS:
             break
 
         # quasi-Newton step on the free variables; held ones stay at their bound
@@ -218,27 +226,8 @@ def optimize(
             accepted = _line_search(problem, x, j, g, -pg)
         if accepted is None:
             break
-        x_new, evaluation = accepted
-
-        j_new, g_new = objective_and_gradient(problem, x_new, evaluation)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > _MEMORY:
-                pairs.pop(0)
-
-        decrease = (j - j_new) / max(1.0, abs(j_new))
-        stall = stall + 1 if decrease < _RELATIVE_DECREASE_TOL else 0
-        x, j, g = x_new, j_new, g_new
-        history.append(j)
-        held = _active(x, g, upper)
-        pg = np.where(held, 0.0, g)
-        pg_norm = float(np.linalg.norm(pg))
-        if stall >= _STALL_ITERATIONS:
-            converged = True
-            break
+        x_old, g_old = x, g
+        x, evaluation = accepted
 
     schedule, traj, breakdown = evaluation
     return OptimizationResult(

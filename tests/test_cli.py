@@ -76,11 +76,18 @@ class TestConfig:
     @pytest.mark.parametrize("override", [
         "cost.b=-1", "epidemic.i0=1.5", "grid.points=1",
         "grouping.z=200", "grouping.m=30", "network.k_max=3",
+        "grouping.z=0", "grouping.m=0",
     ])
-    def test_out_of_range_names_field(self, override):
+    def test_out_of_range_names_field(self, tmp_path, capsys, override):
         # some ranges depend on the network, so they are checked when it is built
-        with pytest.raises(ConfigError, match=override.partition("=")[0]):
+        field, _, value = override.partition("=")
+        with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_file(None, [override]).build()
+        assert main(["simulate", "--output", str(tmp_path / "out"), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and not (tmp_path / "out").exists()
+        if value == "0":
+            assert err == f"error: {field}: must be >= 1, got 0\n"
 
     def test_kind_override_drops_file_network_keys(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -336,6 +343,31 @@ class TestOtherCommands:
         dist = read_distribution(out)
         assert (dist.k_min, dist.k_max) == (2, 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.txt", "edges.txt"]
+
+    def test_edge_list_compare_matches_its_ingested_distribution(self, tmp_path):
+        # 60 nodes and 150 edges; the last two add a self-loop and a repeat of the first edge
+        ends = np.random.default_rng(5).integers(1, 61, size=(148, 2))
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{a} {b}\n" for a, b in [*ends, (7, 7), ends[0][::-1]]))
+        dist = tmp_path / "dist.txt"
+        assert main(["ingest", "--input", str(edges), "--output", str(dist)]) == 0
+        out = {}
+        for kind, path in (("edge_list", edges), ("distribution", dist)):
+            out[kind] = tmp_path / kind
+            assert main([
+                "compare", "--output", str(out[kind]),
+                "--set", f"network.kind={kind}", "--set", f"network.path={path}",
+                "--set", "grouping.z=4", "--set", "grouping.m=2", "--set", "grid.points=201",
+            ]) == 0
+        by_edges, by_dist = out["edge_list"], out["distribution"]
+        for name in ("trajectories.csv", "controls.csv", "allocation.csv", "history.csv"):
+            assert (by_edges / name).read_bytes() == (by_dist / name).read_bytes()
+        lines = [(by_edges / "summary.txt").read_text().splitlines(),
+                 (by_dist / "summary.txt").read_text().splitlines()]
+        assert len(lines[0]) == len(lines[1])
+        assert [pair for pair in zip(*lines) if pair[0] != pair[1]] == [
+            ("kind = edge_list", "kind = distribution")
+        ]
 
     def test_ingest_keep_duplicates_rejects_repeated_edge(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

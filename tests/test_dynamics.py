@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from epinetopt import dynamics
-from epinetopt.control import CostParams, _cost_gradient
+from epinetopt.control import CostParams, _cost_gradient, constant_strategy
 from epinetopt.dynamics import (
     EpidemicParams,
     TimeGrid,
@@ -216,9 +216,11 @@ class TestReducedModelOracle:
 
     Measured at N = 1001: the full model is off by 1.0-1.3e-5 relative in
     cumulative infected and by at most 5.3e-3 in any aggregate; Z = 21 under
-    the smooth schedule below by 5.0-8.3e-4 and 4.4e-3. Both errors shrink
-    ~14x at N = 4001 (second order), and RK4's own error is below 3e-5.
-    The bounds are twice the measured errors.
+    the smooth schedule below by 5.0-8.3e-4 and 4.4e-3, uncontrolled
+    (criterion 1's setting) by 1.0-1.3e-5 and 5.3e-3, and under the constant
+    beta/2, gamma/2 schedule (criterion 2's) by 4.1-6.6e-4 and 4.5e-3. The
+    errors shrink 14-26x at N = 4001 (second order), and RK4's own error is
+    below 3e-5. The bounds are about twice the largest measured errors.
     """
 
     @staticmethod
@@ -243,10 +245,18 @@ class TestReducedModelOracle:
         phase = np.array([0.1, 0.4, 0.7])
         u = lambda t: 0.3 + 0.2 * np.sin(2 * np.pi * (t / 20.0 + phase))
         v = lambda t: 0.3 + 0.2 * np.cos(2 * np.pi * (t / 20.0 + phase))
-        sched = SimpleNamespace(u=np.stack([u(t) for t in GRID.t], 1),
-                                v=np.stack([v(t) for t in GRID.t], 1))
-        ref = reduced_aggregates(gd.p_hat, gd.q_hat, gd.k_hat, cg.assignment, u, v, DEFAULTS, GRID)
-        self.assert_close(simulate_grouped(gd, cg, sched, DEFAULTS, GRID), ref, 1.7e-3, 9e-3)
+        smooth = SimpleNamespace(u=np.stack([u(t) for t in GRID.t], 1),
+                                 v=np.stack([v(t) for t in GRID.t], 1))
+        off = lambda t: np.zeros(3)
+        constant = constant_strategy(DEFAULTS, GRID, 3)
+        for sched, block_u, block_v in [
+            (smooth, u, v),
+            (None, off, off),  # criterion 1
+            (constant, lambda t: constant.u[:, 0], lambda t: constant.v[:, 0]),  # criterion 2
+        ]:
+            ref = reduced_aggregates(gd.p_hat, gd.q_hat, gd.k_hat, cg.assignment,
+                                     block_u, block_v, DEFAULTS, GRID)
+            self.assert_close(simulate_grouped(gd, cg, sched, DEFAULTS, GRID), ref, 1.7e-3, 9e-3)
 
 
 class TestSimulateGrouped:
@@ -327,6 +337,10 @@ class TestSimulateGrouped:
         ok = SimpleNamespace(u=np.zeros((3, n)), v=np.zeros((3, n)))
         with pytest.raises(ParameterError):
             simulate_grouped(gd, None, ok, DEFAULTS, GRID)
+        # as many samples as the grid, but spread over 5 days instead of 20
+        five_days = constant_strategy(DEFAULTS, TimeGrid(n, 5.0), 3)
+        with pytest.raises(ParameterError, match="schedule spans 5.0 time units"):
+            simulate_grouped(gd, cg, five_days, DEFAULTS, GRID)
 
 
 class TestAggregate:

@@ -388,15 +388,26 @@ class TestSerialization:
 
     def test_rejects_unsorted_degrees(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("3 0.5\n2 0.5\n")
-        with pytest.raises(IngestionError):
-            read_distribution(p)
+        for text, line, got in [
+            ("3 0.5\n2 0.5\n", 2, "2 after 3"),
+            ("# d p\n5 0.5\n3 0.5\n", 3, "3 after 5"),
+            ("4 0.25\n5 0.25\n\n5 0.5\n", 4, "5 after 5"),
+        ]:
+            p.write_text(text)
+            want = rf"^{re.escape(str(p))}:{line}: degrees must be strictly increasing, got {got}$"
+            with pytest.raises(IngestionError, match=want):
+                read_distribution(p)
 
     def test_rejects_unnormalized(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 0.5\n2 0.4\n")
         with pytest.raises(IngestionError):
             read_distribution(p)
+        # off by 5e-10: inside the 1e-9 tolerance, so renormalised rather than rejected
+        p.write_text("3 0.5\n4 0.5000000005\n")
+        dist = read_distribution(p)
+        assert (dist.k_min, dist.k_max) == (3, 4)
+        assert abs(dist.pmf.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "text, line",

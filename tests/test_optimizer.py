@@ -249,6 +249,8 @@ class TestOptimize:
             optimize(PROBLEM, initial=zero_strategy(GRID, 2))
         with pytest.raises(ParameterError):
             optimize(PROBLEM, initial=zero_strategy(TimeGrid(11, 20.0), 3))
+        with pytest.raises(ParameterError):  # the right sample count over 5 days, not 20
+            optimize(PROBLEM, initial=constant_strategy(DEFAULTS, TimeGrid(1001, 5.0), 3))
 
     def test_problem_validation(self):
         with pytest.raises(ParameterError):
