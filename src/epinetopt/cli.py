@@ -28,7 +28,6 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 
 from .control import (
-    ControlSchedule,
     CostBreakdown,
     CostParams,
     constant_strategy,
@@ -38,6 +37,7 @@ from .control import (
 )
 from .dynamics import (
     DEFAULT_GRID_POINTS,
+    ControlSchedule,
     EpidemicParams,
     TimeGrid,
     Trajectory,

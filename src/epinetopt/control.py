@@ -1,8 +1,9 @@
-"""Control schedules, the cost functional, and baseline strategies.
+"""The cost functional, baseline strategies, and resource allocation.
 
-A schedule holds one vaccination rate u_m(t) and one treatment rate
-v_m(t) per control group, sampled on the integration grid. The objective
-being minimized is cumulative infections plus a quadratic control cost,
+These price and build a :class:`~epinetopt.dynamics.ControlSchedule`, one
+vaccination rate u_m(t) and one treatment rate v_m(t) per control group.
+The objective being minimized is cumulative infections plus a quadratic
+control cost,
 
     J = integral of [ i(t) + vaccination cost + treatment cost ] dt,
 
@@ -40,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EpidemicParams, TimeGrid, Trajectory
+from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory
 from .errors import ParameterError, fp_checked
 from .grouping import ControlGroups
 
 __all__ = [
     "CostParams",
-    "ControlSchedule",
     "CostBreakdown",
     "ResourceAllocation",
     "evaluate_cost",
@@ -91,39 +91,6 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class ControlSchedule:
-    """Per-control-group vaccination and treatment rates on a time grid.
-
-    ``u`` and ``v`` are (M, N): row m holds the rates for control group m
-    at the N grid times.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    grid: TimeGrid
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        if u.ndim != 2 or u.shape != v.shape:
-            raise ParameterError(
-                f"u and v must be matching (M, N) arrays, got {u.shape} and {v.shape}"
-            )
-        if u.shape[1] != self.grid.n_points:
-            raise ParameterError(
-                f"schedule has {u.shape[1]} samples, grid has {self.grid.n_points}"
-            )
-        if not (u.min() >= 0 and v.min() >= 0):  # also rejects nan
-            raise ParameterError("control rates must be nonnegative")
-
-    @property
-    def n_control(self) -> int:
-        return self.u.shape[0]
-
-
-@dataclass(frozen=True)
 class CostBreakdown:
     """Objective value split into its three integral terms; ``J`` is their sum."""
 
@@ -164,8 +131,11 @@ def _cost_rows(cost: CostParams, cg: ControlGroups, u, v, traj: Trajectory | Non
     weighted by x); for ``"dose"`` they are the Z degree groups (the doses
     u_m(z) s_z and v_m(z) i_z weighted by p_z), which needs ``traj``.
     Every cost evaluation (objective, gradient, breakdown, allocation)
-    goes through here, so each measures the same functional.
+    goes through here, so each measures the same functional and checks
+    the block count.
     """
+    if len(u) != cg.n_control:
+        raise ParameterError(f"schedule has {len(u)} control groups, expected {cg.n_control}")
     if cost.functional == "rate":
         return cg.x, u, v, np.arange(cg.n_control)
     if traj is None or traj.s_hat.shape[1] != u.shape[1]:
@@ -210,10 +180,6 @@ def evaluate_cost(
     """
     if not schedule.grid.matches(traj.grid):
         raise ParameterError("schedule and trajectory use different grids")
-    if schedule.n_control != cg.n_control:
-        raise ParameterError(
-            f"schedule has {schedule.n_control} control groups, expected {cg.n_control}"
-        )
     w = traj.grid.quadrature_weights()
     weights, du, dv, _ = _cost_rows(cost, cg, schedule.u, schedule.v, traj)
     infection = float(w @ traj.i)
@@ -257,10 +223,6 @@ def resource_allocation(
     under ``schedule``. Three normalizations are reported, each summing to
     100%: per (strategy, group) pair, per group, and per strategy.
     """
-    if schedule.n_control != cg.n_control:
-        raise ParameterError(
-            f"schedule has {schedule.n_control} control groups, expected {cg.n_control}"
-        )
     w = schedule.grid.quadrature_weights()
     weights, du, dv, starts = _cost_rows(cost, cg, schedule.u, schedule.v, traj)
     r_u = np.add.reduceat(cost.b * weights * (du**2 @ w), starts)

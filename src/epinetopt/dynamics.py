@@ -16,6 +16,10 @@ s + i + r exactly. One Heun loop, with one right-hand side and one clamp
 rule, performs every forward sweep, of one system or of a batch of
 independent systems.
 
+A :class:`ControlSchedule` holds the M vaccination and treatment signals
+u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and
+signs; :func:`simulate_grouped` spreads them over the Z groups.
+
 `grouping_error` measures the grouped view against the full one in
 batched sweeps: the reference (full) model, one group per positive-mass
 degree class, and each Z-grouped model are rows of one state, zero-padded
@@ -40,7 +44,6 @@ by the operations of a step-by-step loop in the same order, so with its bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,12 +52,10 @@ from .grouping import ControlGroups, GroupedDistribution, grouped_stats
 from .grouping import _equal_mass_partitions, _partition_equal_mass
 from .network import DegreeDistribution
 
-if TYPE_CHECKING:
-    from .control import ControlSchedule
-
 __all__ = [
     "EpidemicParams",
     "TimeGrid",
+    "ControlSchedule",
     "Trajectory",
     "DEFAULT_GRID_POINTS",
     "simulate_full",
@@ -130,6 +131,39 @@ class TimeGrid:
         w = np.full(self.n_points, self.dt)
         w[0] = w[-1] = 0.5 * self.dt
         return w
+
+
+@dataclass(frozen=True)
+class ControlSchedule:
+    """Per-control-group vaccination and treatment rates on a time grid.
+
+    ``u`` and ``v`` are read-only (M, N) copies: row m holds the rates for
+    control group m at the N grid times, and the checks below stay true.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    grid: TimeGrid
+
+    def __post_init__(self):
+        u, v = np.array(self.u, dtype=float), np.array(self.v, dtype=float)
+        u.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        if u.ndim != 2 or u.shape != v.shape:
+            raise ParameterError(
+                f"u and v must be matching (M, N) arrays, got {u.shape} and {v.shape}"
+            )
+        if u.shape[1] != self.grid.n_points:
+            raise ParameterError(
+                f"schedule has {u.shape[1]} samples, grid has {self.grid.n_points}"
+            )
+        if not (u.min() >= 0 and v.min() >= 0):  # also rejects nan
+            raise ParameterError("control rates must be nonnegative")
+
+    @property
+    def n_control(self) -> int:
+        return self.u.shape[0]
 
 
 @dataclass(frozen=True)
@@ -327,37 +361,32 @@ def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGr
 def simulate_grouped(
     gd: GroupedDistribution,
     cg: ControlGroups | None,
-    schedule: "ControlSchedule | None",
+    schedule: ControlSchedule | None,
     params: EpidemicParams,
     grid: TimeGrid,
 ) -> Trajectory:
     """Integrate the grouped epidemic, optionally under a control schedule.
 
-    With ``schedule=None`` the uncontrolled grouped dynamics are run.
-    Otherwise the schedule must be sampled on ``grid`` (a schedule that
-    carries its own grid must carry a matching one) and nonnegative; its
-    M vaccination/treatment signals are spread over the Z groups via
-    ``cg.assignment``.
+    With ``schedule=None`` the dynamics run uncontrolled. Otherwise ``cg``
+    must spread the schedule's M blocks over the Z groups of ``gd``, and
+    the schedule (which checks its own shape and signs) must match ``grid``.
     """
     if schedule is None:
         return _integrate(gd, params, grid)
+    if not isinstance(schedule, ControlSchedule):
+        raise ParameterError(f"schedule must be a ControlSchedule, got {type(schedule).__name__}")
     if cg is None:
         raise ParameterError("control groups are required with a schedule")
-    m, n = schedule.u.shape
-    if m != cg.n_control or schedule.u.shape != schedule.v.shape:
-        raise ParameterError(
-            f"schedule has {m} control signals, expected {cg.n_control}"
-        )
-    if n != grid.n_points:
-        raise ParameterError(
-            f"schedule sampled at {n} points, grid has {grid.n_points}"
-        )
-    own = getattr(schedule, "grid", grid)  # a bare (u, v) pair is taken to be on grid
+    a, own = cg.assignment, schedule.grid
+    if len(a) != gd.n_groups:
+        raise ParameterError(f"control groups cover {len(a)} groups, distribution has {gd.n_groups}")
+    if schedule.n_control != cg.n_control:
+        raise ParameterError(f"schedule has {schedule.n_control} blocks, expected {cg.n_control}")
     if not own.matches(grid):
-        raise ParameterError(f"schedule spans {own.duration} time units, grid {grid.duration}")
-    if not (schedule.u.min() >= 0 and schedule.v.min() >= 0):  # also rejects nan
-        raise ParameterError("control rates must be nonnegative")
-    a = cg.assignment
+        raise ParameterError(
+            f"schedule spans {own.duration} time units in {own.n_points} samples, "
+            f"grid {grid.duration} in {grid.n_points}"
+        )
     return _integrate(gd, params, grid, u_z=schedule.u[a], v_z=schedule.v[a])
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import (
-    ControlSchedule,
     CostBreakdown,
     CostParams,
     _cost_gradient,
@@ -35,7 +34,7 @@ from .control import (
     evaluate_cost,
     zero_strategy,
 )
-from .dynamics import EpidemicParams, TimeGrid, Trajectory, _integrate, _reverse
+from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory, _integrate, _reverse
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 

@@ -517,4 +517,6 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        listed = capsys.readouterr().out.split()
+        for command in ("simulate", "optimize", "compare", "group-error", "sweep", "ingest"):
+            assert command in listed

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from epinetopt.control import (
-    ControlSchedule,
     CostParams,
     constant_strategy,
     evaluate_cost,
@@ -13,6 +12,7 @@ from epinetopt.control import (
     zero_strategy,
 )
 from epinetopt.dynamics import (
+    ControlSchedule,
     EpidemicParams,
     TimeGrid,
     cumulative_infected,
@@ -72,6 +72,13 @@ class TestTypes:
             ControlSchedule(u, np.zeros((3, n)), GRID)
         with pytest.raises(ParameterError):
             ControlSchedule(np.zeros((3, n)), np.full((3, n), np.nan), GRID)
+        # a checked schedule stays nonnegative: it owns read-only copies
+        u = np.zeros((3, n))
+        sched = ControlSchedule(u, np.zeros((3, n)), GRID)
+        u[1, 5] = -1e-3
+        assert sched.u.min() == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sched.v[1, 5] = -1e-3
 
 
 class TestBaselines:
@@ -152,10 +159,14 @@ class TestEvaluateCost:
             evaluate_cost(traj, sched, CG, CostParams(0.25, 0.5))
 
     def test_control_group_mismatch_rejected(self):
-        sched = zero_strategy(GRID, 4)
+        # every cost evaluation checks the block count, allocation included
         traj = simulate_grouped(GD, None, None, DEFAULTS, GRID)
-        with pytest.raises(ParameterError):
-            evaluate_cost(traj, sched, CG, CostParams(0.25, 0.5))
+        for m in (2, 4):
+            sched, expected = zero_strategy(GRID, m), f"schedule has {m} control groups, expected 3"
+            with pytest.raises(ParameterError, match=expected):
+                evaluate_cost(traj, sched, CG, CostParams(0.25, 0.5))
+            with pytest.raises(ParameterError, match=expected):
+                resource_allocation(sched, CG, CostParams(0.25, 0.5))
 
 
 class TestResourceAllocation:

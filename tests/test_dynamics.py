@@ -12,8 +12,9 @@ import numpy.testing as npt
 import pytest
 
 from epinetopt import dynamics
-from epinetopt.control import CostParams, _cost_gradient, constant_strategy
+from epinetopt.control import CostParams, _cost_gradient, constant_strategy, zero_strategy
 from epinetopt.dynamics import (
+    ControlSchedule,
     EpidemicParams,
     TimeGrid,
     _integrate,
@@ -102,9 +103,9 @@ class TestValidation:
 
 def one_step(params, dt, u=0.0, v=0.0):
     """One Heun step of the single-class model: simulate over TimeGrid(2, dt)."""
-    gd = single_class_gd()
-    rates = SimpleNamespace(u=np.full((1, 2), u), v=np.full((1, 2), v))
-    return simulate_grouped(gd, amass_control_groups(gd, 1), rates, params, TimeGrid(2, dt))
+    gd, grid = single_class_gd(), TimeGrid(2, dt)
+    rates = ControlSchedule(np.full((1, 2), u), np.full((1, 2), v), grid)
+    return simulate_grouped(gd, amass_control_groups(gd, 1), rates, params, grid)
 
 
 class TestHeunStep:
@@ -137,16 +138,16 @@ class TestHeunStep:
         npt.assert_array_equal(traj.i_hat[0, -1], 0.0)
 
     def test_mismatched_control_endpoints_rejected(self):
-        # rates at the step's start only: the schedule misses the end node
+        # rates sampled at three nodes, where the one-step grid has two
         gd = single_class_gd()
-        rates = SimpleNamespace(u=np.zeros((1, 1)), v=np.zeros((1, 1)))
+        rates = ControlSchedule(np.zeros((1, 3)), np.zeros((1, 3)), TimeGrid(3, 0.1))
         with pytest.raises(ParameterError):
             simulate_grouped(gd, amass_control_groups(gd, 1), rates,
                              EpidemicParams(0.0, 0.0, 0.1, 0.1), TimeGrid(2, 0.1))
 
     def test_controls_without_control_groups_rejected(self):
         gd = single_class_gd()
-        rates = SimpleNamespace(u=np.zeros((1, 2)), v=np.zeros((1, 2)))
+        rates = ControlSchedule(np.zeros((1, 2)), np.zeros((1, 2)), TimeGrid(2, 0.1))
         with pytest.raises(ParameterError):
             simulate_grouped(gd, None, rates, EpidemicParams(0.0, 0.0, 0.1, 0.1), TimeGrid(2, 0.1))
 
@@ -245,8 +246,8 @@ class TestReducedModelOracle:
         phase = np.array([0.1, 0.4, 0.7])
         u = lambda t: 0.3 + 0.2 * np.sin(2 * np.pi * (t / 20.0 + phase))
         v = lambda t: 0.3 + 0.2 * np.cos(2 * np.pi * (t / 20.0 + phase))
-        smooth = SimpleNamespace(u=np.stack([u(t) for t in GRID.t], 1),
-                                 v=np.stack([v(t) for t in GRID.t], 1))
+        smooth = ControlSchedule(np.stack([u(t) for t in GRID.t], 1),
+                                 np.stack([v(t) for t in GRID.t], 1), GRID)
         off = lambda t: np.zeros(3)
         constant = constant_strategy(DEFAULTS, GRID, 3)
         for sched, block_u, block_v in [
@@ -263,7 +264,7 @@ class TestSimulateGrouped:
     def test_zero_schedule_equals_uncontrolled(self):
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         cg = amass_control_groups(gd, 3)
-        sched = SimpleNamespace(u=np.zeros((3, GRID.n_points)), v=np.zeros((3, GRID.n_points)))
+        sched = ControlSchedule(np.zeros((3, GRID.n_points)), np.zeros((3, GRID.n_points)), GRID)
         a = simulate_grouped(gd, cg, sched, DEFAULTS, GRID)
         b = simulate_grouped(gd, None, None, DEFAULTS, GRID)
         npt.assert_array_equal(a.i_hat, b.i_hat)
@@ -298,7 +299,7 @@ class TestSimulateGrouped:
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         cg = amass_control_groups(gd, 3)
         n = GRID.n_points
-        sched = SimpleNamespace(u=np.full((3, n), 0.25), v=np.full((3, n), 0.125))
+        sched = ControlSchedule(np.full((3, n), 0.25), np.full((3, n), 0.125), GRID)
         controlled = cumulative_infected(simulate_grouped(gd, cg, sched, DEFAULTS, GRID))
         free = cumulative_infected(simulate_grouped(gd, None, None, DEFAULTS, GRID))
         assert controlled < free
@@ -313,30 +314,31 @@ class TestSimulateGrouped:
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         cg = amass_control_groups(gd, 3)
         n = GRID.n_points
-        sched = SimpleNamespace(u=np.full((3, n), 0.3), v=np.full((3, n), 0.2))
+        sched = ControlSchedule(np.full((3, n), 0.3), np.full((3, n), 0.2), GRID)
         traj = simulate_grouped(gd, cg, sched, DEFAULTS, GRID)
         npt.assert_allclose(traj.s_hat + traj.i_hat + traj.r_hat, 1.0, atol=1e-9)
 
     def test_schedule_validation(self):
+        # a schedule's own shape and signs are ControlSchedule's to check
+        # (test_control.py); here only how it relates to the other arguments
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         cg = amass_control_groups(gd, 3)
         n = GRID.n_points
-        bad_m = SimpleNamespace(u=np.zeros((2, n)), v=np.zeros((2, n)))
+        bad_m = ControlSchedule(np.zeros((2, n)), np.zeros((2, n)), GRID)
         with pytest.raises(ParameterError):
             simulate_grouped(gd, cg, bad_m, DEFAULTS, GRID)
-        bad_n = SimpleNamespace(u=np.zeros((3, n - 1)), v=np.zeros((3, n - 1)))
+        bad_n = zero_strategy(TimeGrid(n - 1, GRID.duration), 3)
         with pytest.raises(ParameterError):
             simulate_grouped(gd, cg, bad_n, DEFAULTS, GRID)
-        neg = SimpleNamespace(u=np.full((3, n), -0.1), v=np.zeros((3, n)))
-        with pytest.raises(ParameterError):
-            simulate_grouped(gd, cg, neg, DEFAULTS, GRID)
-        for nan in (SimpleNamespace(u=np.full((3, n), np.nan), v=np.zeros((3, n))),
-                    SimpleNamespace(u=np.zeros((3, n)), v=np.full((3, n), np.nan))):
-            with pytest.raises(ParameterError):
-                simulate_grouped(gd, cg, nan, DEFAULTS, GRID)
-        ok = SimpleNamespace(u=np.zeros((3, n)), v=np.zeros((3, n)))
+        bare = SimpleNamespace(u=np.zeros((3, n)), v=np.zeros((3, n)))
+        with pytest.raises(ParameterError, match="must be a ControlSchedule"):
+            simulate_grouped(gd, cg, bare, DEFAULTS, GRID)
+        ok = zero_strategy(GRID, 3)
         with pytest.raises(ParameterError):
             simulate_grouped(gd, None, ok, DEFAULTS, GRID)
+        other = amass_control_groups(grouped_stats(PL2, partition_equal_mass(PL2, 10)), 3)
+        with pytest.raises(ParameterError, match="cover 10 groups, distribution has 21"):
+            simulate_grouped(gd, other, ok, DEFAULTS, GRID)
         # as many samples as the grid, but spread over 5 days instead of 20
         five_days = constant_strategy(DEFAULTS, TimeGrid(n, 5.0), 3)
         with pytest.raises(ParameterError, match="schedule spans 5.0 time units"):

@@ -1,8 +1,8 @@
 """The package modules import one another in one direction only.
 
 Each module may import only from modules earlier in ``LAYERS``. Every
-import is checked, including those inside functions; imports under
-``if TYPE_CHECKING:`` are for annotations only and are skipped. The
+import is checked, including those inside functions and those under
+``if TYPE_CHECKING:``, so an annotation cannot name a later layer either. The
 benchmark's tracer wraps the cross-module calls by the names the calling
 modules look up, so those names are checked to resolve as well, and
 every name a module imports must be read in it: no import stays only for
@@ -22,18 +22,8 @@ LAYERS = ("errors", "network", "grouping", "dynamics", "control", "optimizer", "
 PACKAGE = Path(epinetopt.__file__).resolve().parent
 
 
-def _is_type_checking(test):
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
-
-
 def imported_modules(node):
-    """Package modules imported anywhere under ``node``, outside TYPE_CHECKING blocks."""
-    if isinstance(node, ast.If) and _is_type_checking(node.test):
-        children = node.orelse
-    else:
-        children = ast.iter_child_nodes(node)
+    """Package modules imported anywhere under ``node``."""
     if isinstance(node, ast.ImportFrom):
         if node.level:  # from .x import y, or from . import x
             yield from [node.module.split(".")[0]] if node.module else (a.name for a in node.names)
@@ -41,7 +31,7 @@ def imported_modules(node):
             yield node.module.split(".")[1]
     elif isinstance(node, ast.Import):
         yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("epinetopt."))
-    for child in children:
+    for child in ast.iter_child_nodes(node):
         yield from imported_modules(child)
 
 
@@ -105,7 +95,7 @@ def test_package_exports_every_module_list():
 def unused_imports(source):
     """(line, name) of every name ``source`` imports and never reads.
 
-    A name read only inside a string annotation counts as read.
+    A name read only inside a string annotation counts as unread.
     """
     tree = ast.parse(source)
     imported = {}
@@ -114,14 +104,7 @@ def unused_imports(source):
             imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
-    annotations = [a for node in ast.walk(tree)
-                   for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
-                   if a is not None]
-    strings = [c.value for a in annotations for c in ast.walk(a)
-               if isinstance(c, ast.Constant) and isinstance(c.value, str)]
-    expressions = [tree, *(ast.parse(s, mode="eval") for s in strings)]
-    read = {n.id for e in expressions for n in ast.walk(e)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
@@ -138,7 +121,7 @@ def test_unused_imports_are_found():
         "if TYPE_CHECKING:\n    from .m import A, B\n"
         "def f(a: 'A | None') -> None:\n    os = np\n"
     )
-    assert unused_imports(source) == [(1, "os"), (4, "B")]
+    assert unused_imports(source) == [(1, "os"), (4, "A"), (4, "B")]
 
 
 def test_benchmark_tracer_names_resolve():

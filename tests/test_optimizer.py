@@ -8,13 +8,13 @@ import pytest
 
 import epinetopt.optimizer
 from epinetopt.control import (
-    ControlSchedule,
     CostParams,
     constant_strategy,
     evaluate_cost,
     zero_strategy,
 )
 from epinetopt.dynamics import (
+    ControlSchedule,
     EpidemicParams,
     TimeGrid,
     cumulative_infected,
