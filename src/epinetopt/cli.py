@@ -174,10 +174,6 @@ class ExperimentConfig:
         network = {**_read(cp, "network", _network_fields(kind)), "kind": kind}
         values = {section: _read(cp, section, fields) for section, fields in _FIELDS.items()}
         params = _named("epidemic", EpidemicParams, **values["epidemic"])
-        try:
-            grid = TimeGrid(values["grid"]["points"], params.duration)
-        except ParameterError as exc:
-            raise ConfigError(f"grid.points: {exc}") from None
         run = values["run"]
         names = [s.strip().lower() for s in run["strategies"].split(",") if s.strip()]
         return cls(
@@ -185,8 +181,8 @@ class ExperimentConfig:
             n_groups=values["grouping"]["z"],
             n_control=values["grouping"]["m"],
             params=params,
+            grid=_named("grid", TimeGrid, values["grid"]["points"], params.duration),
             cost=_named("cost", CostParams, **values["cost"]),
-            grid=grid,
             strategies=tuple(dict.fromkeys(names)),
             output_dir=run["output"],
         )
@@ -421,14 +417,13 @@ def run_experiment(config: ExperimentConfig) -> None:
     dist, gd, cg = config.build()
     outcomes = [_run_strategy(name, config, gd, cg) for name in config.strategies]
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     header = ["t"]
     columns = [config.grid.t]
     for o in outcomes:
         header += [f"s_{o.name}", f"i_{o.name}", f"r_{o.name}"]
         columns += [o.trajectory.s, o.trajectory.i, o.trajectory.r]
-    _write_table(os.path.join(out, "trajectories.csv"), header, zip(*columns))
+    _write_report(config, "trajectories.csv", header, zip(*columns))
 
     shown = next((o for o in outcomes if o.name == "optimal"), outcomes[0])
     m = shown.schedule.n_control
@@ -442,7 +437,6 @@ def run_experiment(config: ExperimentConfig) -> None:
     _write_table(os.path.join(out, "allocation.csv"), ["strategy", "family", "label", "percent"], rows)
 
     _atomic_write(os.path.join(out, "summary.txt"), _summary_text(config, dist, gd, cg, outcomes))
-    _atomic_write(os.path.join(out, "effective_config.ini"), config.effective_text())
     if shown.result is not None:
         write_history_csv(shown.result, os.path.join(out, "history.csv"))
 

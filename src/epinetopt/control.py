@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory
+from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory, cumulative_infected
 from .errors import ParameterError, fp_checked
 from .grouping import ControlGroups
 
@@ -182,13 +182,10 @@ def evaluate_cost(
         raise ParameterError("schedule and trajectory use different grids")
     w = traj.grid.quadrature_weights()
     weights, du, dv, _ = _cost_rows(cost, cg, schedule.u, schedule.v, traj)
-    infection = float(w @ traj.i)
-    vaccination = float(cost.b * (w @ (weights @ du**2)))
-    treatment = float(cost.c * (w @ (weights @ dv**2)))
     return CostBreakdown(
-        infection_term=infection,
-        vaccination_term=vaccination,
-        treatment_term=treatment,
+        infection_term=cumulative_infected(traj),
+        vaccination_term=float(cost.b * (w @ (weights @ du**2))),
+        treatment_term=float(cost.c * (w @ (weights @ dv**2))),
     )
 
 

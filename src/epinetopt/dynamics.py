@@ -17,8 +17,12 @@ rule, performs every forward sweep, of one system or of a batch of
 independent systems.
 
 A :class:`ControlSchedule` holds the M vaccination and treatment signals
-u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and
-signs; :func:`simulate_grouped` spreads them over the Z groups.
+u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and that
+its rates are finite and nonnegative; :func:`simulate_grouped` spreads them
+over the Z groups. Whether a model's parts fit one another (the grid spans
+the epidemic's horizon, the control groups cover the grouping) is checked
+in one place, :func:`_check_model`, for every entry point here and for the
+optimizer's problems.
 
 `grouping_error` measures the grouped view against the full one in
 batched sweeps: the reference (full) model, one group per positive-mass
@@ -110,7 +114,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise ParameterError(f"need at least 2 grid points, got {self.n_points}")
+            raise ParameterError(f"need at least 2 grid points, got {self.n_points}", "points")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ParameterError(f"duration must be positive, got {self.duration}")
 
@@ -158,8 +162,8 @@ class ControlSchedule:
             raise ParameterError(
                 f"schedule has {u.shape[1]} samples, grid has {self.grid.n_points}"
             )
-        if not (u.min() >= 0 and v.min() >= 0):  # also rejects nan
-            raise ParameterError("control rates must be nonnegative")
+        if not (0 <= u.min() and u.max() < np.inf and 0 <= v.min() and v.max() < np.inf):  # nan too
+            raise ParameterError("control rates must be finite and nonnegative")
 
     @property
     def n_control(self) -> int:
@@ -346,6 +350,19 @@ def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
     return g_u, g_v
 
 
+def _check_model(params, grid, gd=None, cg=None):
+    """Reject a grid that does not span the epidemic's horizon ``params.duration``
+    and, when given, control groups ``cg`` that do not cover the groups of ``gd``."""
+    if cg is not None and len(cg.assignment) != gd.n_groups:
+        raise ParameterError(
+            f"control groups cover {len(cg.assignment)} groups, distribution has {gd.n_groups}"
+        )
+    if not np.isclose(params.duration, grid.duration):
+        raise ParameterError(
+            f"epidemic duration {params.duration} does not match grid duration {grid.duration}"
+        )
+
+
 @fp_checked
 def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGrid) -> Trajectory:
     """Integrate the uncontrolled epidemic over every degree class.
@@ -353,6 +370,7 @@ def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGr
     The full model is the partition at Z = number of classes: one group,
     and one trajectory row, per positive-mass degree class.
     """
+    _check_model(params, grid)
     full = _partition_equal_mass(dist, dist.n_classes)
     return _integrate(grouped_stats(dist, full), params, grid)
 
@@ -367,10 +385,13 @@ def simulate_grouped(
 ) -> Trajectory:
     """Integrate the grouped epidemic, optionally under a control schedule.
 
-    With ``schedule=None`` the dynamics run uncontrolled. Otherwise ``cg``
-    must spread the schedule's M blocks over the Z groups of ``gd``, and
-    the schedule (which checks its own shape and signs) must match ``grid``.
+    ``grid`` must span ``params.duration`` and ``cg``, if given, must cover
+    the Z groups of ``gd`` (:func:`_check_model`). With ``schedule=None``
+    the dynamics run uncontrolled. Otherwise ``cg`` must spread the
+    schedule's M blocks over the groups, and the schedule (which checks its
+    own shape and rates) must match ``grid``.
     """
+    _check_model(params, grid, gd, cg)
     if schedule is None:
         return _integrate(gd, params, grid)
     if not isinstance(schedule, ControlSchedule):
@@ -378,8 +399,6 @@ def simulate_grouped(
     if cg is None:
         raise ParameterError("control groups are required with a schedule")
     a, own = cg.assignment, schedule.grid
-    if len(a) != gd.n_groups:
-        raise ParameterError(f"control groups cover {len(a)} groups, distribution has {gd.n_groups}")
     if schedule.n_control != cg.n_control:
         raise ParameterError(f"schedule has {schedule.n_control} blocks, expected {cg.n_control}")
     if not own.matches(grid):
@@ -414,8 +433,10 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
 
     Raises :class:`NumericalFailureError`, naming the first row concerned,
     if a state turns non-finite or if a row has a clamp event: a clipped
-    trajectory would make the error meaningless.
+    trajectory would make the error meaningless. ``grid`` must span
+    ``params.duration`` (:func:`_check_model`).
     """
+    _check_model(params, grid)
     group_counts = list(group_counts)  # read three times below
     reference = _partition_equal_mass(dist, dist.n_classes)  # the full model
     groupings = [reference, *_equal_mass_partitions(dist, group_counts)]

@@ -42,7 +42,9 @@ class DegreeDistribution:
 
     The support is the contiguous range ``k_min..k_max``; interior degrees
     may carry zero mass (sparse empirical histograms) but the bounds are
-    tight: ``pmf[0] > 0`` and ``pmf[-1] > 0``.
+    tight: ``pmf[0] > 0`` and ``pmf[-1] > 0``. The fraction of edge ends at
+    each degree, k * pmf_k / mean_degree, is what
+    :func:`~epinetopt.grouping.grouped_stats` computes per group.
     """
 
     k_min: int
@@ -84,16 +86,6 @@ class DegreeDistribution:
     def mean_degree(self) -> float:
         """Average number of contacts per node."""
         return float(self.degrees @ self.pmf)
-
-    def edge_end_weights(self) -> np.ndarray:
-        """Fraction of edge ends attached to each degree class.
-
-        Entry ``k`` is ``k * pmf_k / mean_degree``: the probability that a
-        uniformly random edge end lands on a node of degree ``k``. These
-        weights drive the infection-pressure sum of the mean-field model
-        and sum to one.
-        """
-        return self.degrees * self.pmf / self.mean_degree
 
 
 @dataclass(frozen=True)

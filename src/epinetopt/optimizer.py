@@ -34,7 +34,8 @@ from .control import (
     evaluate_cost,
     zero_strategy,
 )
-from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory, _integrate, _reverse
+from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory
+from .dynamics import _check_model, _integrate, _reverse
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -62,7 +63,7 @@ _MAX_BACKTRACKS = 50
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Everything that defines one schedule-optimization instance."""
+    """Everything that defines one schedule-optimization instance; its parts must fit."""
 
     gd: GroupedDistribution
     cg: ControlGroups
@@ -71,16 +72,7 @@ class OptimizationProblem:
     grid: TimeGrid
 
     def __post_init__(self):
-        if len(self.cg.assignment) != self.gd.n_groups:
-            raise ParameterError(
-                f"control groups cover {len(self.cg.assignment)} groups, "
-                f"distribution has {self.gd.n_groups}"
-            )
-        if not np.isclose(self.params.duration, self.grid.duration):
-            raise ParameterError(
-                f"epidemic duration {self.params.duration} does not match "
-                f"grid duration {self.grid.duration}"
-            )
+        _check_model(self.params, self.grid, self.gd, self.cg)
 
 
 @dataclass(frozen=True)

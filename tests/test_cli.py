@@ -66,6 +66,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="epidemic.betta"):
             ExperimentConfig.from_file(None, ["epidemic.betta=0.4"])
+        with pytest.raises(ConfigError, match="^network.kind: expected one of .* got 'lattice'$"):
+            ExperimentConfig.from_file(None, ["network.kind=lattice"])
 
     def test_bad_number_names_field(self):
         with pytest.raises(ConfigError, match="cost.b"):
@@ -327,11 +329,12 @@ class TestOtherCommands:
         assert np.all(data[:, 1] < data[:, 2]) and np.all(data[:, 1] < data[:, 3])
 
     def test_sweep_bad_values(self, tmp_path, capsys):
-        code = main([
-            "sweep", "--output", str(tmp_path), "--parameter", "b", "--values", "a,b",
-        ])
-        assert code == 1
-        assert "--values" in capsys.readouterr().err
+        for values in ("a,b", ","):
+            code = main([
+                "sweep", "--output", str(tmp_path), "--parameter", "b", "--values", values,
+            ])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: --values: ")
 
     def test_ingest_round_trip(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
@@ -439,12 +442,14 @@ class TestExitCodes:
 
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
-        path.write_bytes(b"# exp\xe9rience\n[cost]\nb = 0.25\n")
-        code = main(["compare", "-c", str(path), "--output", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid config file: ") and str(path) in err
-        assert not (tmp_path / "out").exists()
+        # not UTF-8, and a key before any section header
+        for text in (b"# exp\xe9rience\n[cost]\nb = 0.25\n", b"b = 0.25\n[cost]\n"):
+            path.write_bytes(text)
+            code = main(["compare", "-c", str(path), "--output", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid config file: ") and str(path) in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--set", "run.output="], ["--output", ""], ["--output", "  "],

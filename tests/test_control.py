@@ -72,6 +72,10 @@ class TestTypes:
             ControlSchedule(u, np.zeros((3, n)), GRID)
         with pytest.raises(ParameterError):
             ControlSchedule(np.zeros((3, n)), np.full((3, n), np.nan), GRID)
+        u[1, 5] = np.inf
+        for bad in ((u, np.zeros((3, n))), (np.zeros((3, n)), u)):
+            with pytest.raises(ParameterError, match="rates must be finite and nonnegative"):
+                ControlSchedule(*bad, GRID)
         # a checked schedule stays nonnegative: it owns read-only copies
         u = np.zeros((3, n))
         sched = ControlSchedule(u, np.zeros((3, n)), GRID)

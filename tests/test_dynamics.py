@@ -48,7 +48,7 @@ def rk4_full_aggregates(dist, params, n_points):
     """Classical RK4 on the per-degree-class model; returns aggregate s, i."""
     ks = dist.degrees.astype(float)
     p = dist.pmf
-    w = dist.edge_end_weights()
+    w = ks * p / dist.mean_degree  # fraction of edge ends at each degree
     beta, gamma = params.beta, params.gamma
     dt = params.duration / (n_points - 1)
     s = np.full_like(ks, 1.0 - params.i0)
@@ -234,7 +234,7 @@ class TestReducedModelOracle:
     def test_full_model(self, dist):
         uncontrolled = lambda t: np.zeros(1)
         ref = reduced_aggregates(
-            dist.pmf, dist.edge_end_weights(), dist.degrees.astype(float),
+            dist.pmf, dist.degrees * dist.pmf / dist.mean_degree, dist.degrees.astype(float),
             np.zeros(dist.n_classes, dtype=int), uncontrolled, uncontrolled, DEFAULTS, GRID,
         )
         self.assert_close(simulate_full(dist, DEFAULTS, GRID), ref, 2.6e-5, 1.1e-2)
@@ -343,6 +343,12 @@ class TestSimulateGrouped:
         five_days = constant_strategy(DEFAULTS, TimeGrid(n, 5.0), 3)
         with pytest.raises(ParameterError, match="schedule spans 5.0 time units"):
             simulate_grouped(gd, cg, five_days, DEFAULTS, GRID)
+        # schedule and grid agree, but stop at 10 days of the 20-day epidemic
+        short = TimeGrid(n, 10.0)
+        for schedule in (None, zero_strategy(short, 3)):
+            with pytest.raises(ParameterError, match="epidemic duration 20.0 does not match "
+                                                     "grid duration 10.0"):
+                simulate_grouped(gd, cg, schedule, DEFAULTS, short)
 
 
 class TestAggregate:

@@ -18,7 +18,7 @@ from epinetopt.dynamics import (
     simulate_full,
     simulate_grouped,
 )
-from epinetopt.errors import NumericalFailureError, ParameterError
+from epinetopt.errors import DegenerateDistributionError, NumericalFailureError, ParameterError
 from epinetopt.grouping import (
     ControlGroups,
     GroupedDistribution,
@@ -218,7 +218,7 @@ class TestGroupedStats:
         gd = grouped_stats(PL2, g)
         npt.assert_allclose(gd.p_hat, PL2.pmf, rtol=1e-15)
         npt.assert_allclose(gd.k_hat, PL2.degrees, rtol=1e-13)
-        npt.assert_allclose(gd.q_hat, PL2.edge_end_weights(), rtol=1e-15)
+        npt.assert_allclose(gd.q_hat, PL2.degrees * PL2.pmf / PL2.mean_degree, rtol=1e-15)
 
     def test_single_group_gives_global_aggregates(self):
         gd = grouped_stats(PL2, Grouping(np.array([0, PL2.n_classes])))
@@ -253,6 +253,8 @@ class TestGroupedStats:
                 GroupedDistribution(p_hat, q_hat, k_hat, grouping, excess_degree=True)
         with pytest.raises(ParameterError):  # one group: no difference to compare
             GroupedDistribution([1.0], [1.0], [np.nan], Grouping(np.array([0, 2])))
+        with pytest.raises(ParameterError, match="q_hat, k_hat must have one entry per group"):
+            GroupedDistribution(gd.p_hat, gd.q_hat[:1], gd.k_hat, grouping, excess_degree=True)
 
     def test_pl2_frozen_stats(self):
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
@@ -290,6 +292,10 @@ class TestGroupedStats:
         g = Grouping(np.array([0, 5, 10]))
         with pytest.raises(ParameterError):
             grouped_stats(PL2, g)
+        # the middle group holds only the two empty degrees 2 and 3
+        dist = DegreeDistribution(1, 4, np.array([0.5, 0.0, 0.0, 0.5]))
+        with pytest.raises(DegenerateDistributionError, match="a group carries no probability"):
+            grouped_stats(dist, Grouping(np.array([0, 1, 3, 4])))
 
 
 class TestControlGroups:
@@ -460,6 +466,14 @@ class TestGroupingError:
                 f"for z = {listed}; empty groups were merged",
             )]
             assert all(err == 0.0 for z, err in zip(zs, errs) if z >= 3)
+
+    def test_grid_must_span_the_horizon(self):
+        short = TimeGrid(GRID.n_points, 10.0)  # 10 days of the 20-day epidemic
+        message = "epidemic duration 20.0 does not match grid duration 10.0"
+        with pytest.raises(ParameterError, match=message):
+            simulate_full(PL2, DEFAULTS, short)
+        with pytest.raises(ParameterError, match=message):
+            grouping_error(PL2, [21], DEFAULTS, short)
 
     def test_full_model_accepts_zero_mass_class(self):
         dist = DegreeDistribution(6, 9, np.array([0.4, 0.0, 0.3, 0.3]))

@@ -130,10 +130,26 @@ def test_benchmark_tracer_names_resolve():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     original = epinetopt.cli.optimize
+    # a small problem: Z = 5 groups, M = 2 blocks, N = 101 grid points (a clean solve)
+    dist = epinetopt.power_law_distribution(2.0, 6, 105)
+    gd = epinetopt.grouped_stats(dist, epinetopt.partition_equal_mass(dist, 5))
+    cg = epinetopt.amass_control_groups(gd, 2)
+    params = epinetopt.EpidemicParams(0.5, 0.25, 0.01, 20.0)
+    grid = epinetopt.TimeGrid(101, 20.0)
+    problem = epinetopt.OptimizationProblem(gd, cg, params, epinetopt.CostParams(0.25, 0.5), grid)
     recorder = tracer.Tracer("layering")
     try:
         tracer.install(recorder)  # raises AttributeError on a renamed or dropped name
         assert epinetopt.cli.optimize is not original
+        # the wrappers read the arguments and results of the calls they trace
+        for schedule in (None, epinetopt.constant_strategy(params, grid, 2)):
+            epinetopt.dynamics.simulate_grouped(gd, cg, schedule, params, grid)
+        epinetopt.optimizer.optimize(problem)
     finally:
         recorder.uninstall()
     assert epinetopt.cli.optimize is original
+    forward = [s for s in recorder.spans if s["name"] == "dynamics.forward"]
+    assert len(forward) > 2
+    assert all(s["steps"] == 100 and isinstance(s["clamps"], int) for s in forward)
+    [solve] = [s for s in recorder.spans if s["name"] == "optimizer.solve"]
+    assert solve["iterations"] >= 1

@@ -15,6 +15,7 @@ from epinetopt.errors import (
     IngestionError,
     ParameterError,
 )
+from epinetopt.grouping import _partition_equal_mass, grouped_stats
 from epinetopt.network import (
     DegreeDistribution,
     EdgeListStats,
@@ -25,6 +26,13 @@ from epinetopt.network import (
     format_distribution,
     read_distribution,
 )
+
+
+def edge_end_weights(dist):
+    """Fraction of edge ends at each positive-mass degree class, k p_k / <k>:
+    ``grouped_stats``' weights on the full partition (a zero-mass class
+    joins the group after it)."""
+    return grouped_stats(dist, _partition_equal_mass(dist, dist.n_classes)).q_hat
 
 
 class TestPoisson:
@@ -89,6 +97,9 @@ class TestPowerLaw:
             power_law_distribution(2.0, 0, 10)
         with pytest.raises(ParameterError):
             power_law_distribution(2.0, 10, 5)
+        for make, bounds in ((power_law_distribution, (1.5, 10)), (poisson_distribution, (1, 45.0))):
+            with pytest.raises(ParameterError, match="^degree bounds must be integers$"):
+                make(2.0, *bounds)
 
 
 class TestDegreeDistribution:
@@ -112,6 +123,12 @@ class TestDegreeDistribution:
     def test_validation_rejects_loose_support(self):
         with pytest.raises(ParameterError):
             DegreeDistribution(1, 3, np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ParameterError, match="^k_min must be >= 1, got 0$"):
+            DegreeDistribution(0, 1, np.array([0.5, 0.5]))
+        with pytest.raises(ParameterError, match="^k_max=2 < k_min=3$"):
+            DegreeDistribution(3, 2, np.array([1.0]))
+        with pytest.raises(ParameterError, match=r"^pmf length \(2,\) does not match .*\[1, 3\]$"):
+            DegreeDistribution(1, 3, np.array([0.5, 0.5]))
 
     def test_interior_zeros_allowed(self):
         dist = DegreeDistribution(2, 4, np.array([0.5, 0.0, 0.5]))
@@ -119,7 +136,7 @@ class TestDegreeDistribution:
 
     def test_edge_end_weights_sum_to_one(self):
         dist = power_law_distribution(2.0, 6, 105)
-        w = dist.edge_end_weights()
+        w = edge_end_weights(dist)
         npt.assert_allclose(w.sum(), 1.0, atol=1e-12)
         # degree-weighted: high-degree classes are over-represented
         assert w[-1] / dist.pmf[-1] > w[0] / dist.pmf[0]
@@ -341,18 +358,19 @@ class TestEdgeListTokenizer:
 
 class TestExcess:
     """A neighbor reached along a random edge has degree k, that is excess
-    degree k - 1, with probability ``edge_end_weights()[k]``."""
+    degree k - 1, with probability ``edge_end_weights(dist)`` at k."""
 
     def test_pl2_endpoints_from_rational_oracle(self):
-        q = power_law_distribution(2.0, 6, 105).edge_end_weights()
+        q = edge_end_weights(power_law_distribution(2.0, 6, 105))
         npt.assert_allclose(q[0], 0.05644748168728221, rtol=1e-12)
         npt.assert_allclose(q[-1], 0.003225570382130412, rtol=1e-12)
 
     def test_hand_computed_two_class_case(self):
         # degrees 2 and 4 with probabilities 0.5/0.5: mean 3,
-        # q(excess 1) = 2*0.5/3 = 1/3, q(excess 3) = 4*0.5/3 = 2/3.
+        # q(excess 1) = 2*0.5/3 = 1/3, q(excess 3) = 4*0.5/3 = 2/3; the
+        # empty degree 3 adds nothing to the group of degree 4
         dist = DegreeDistribution(2, 4, np.array([0.5, 0.0, 0.5]))
-        npt.assert_allclose(dist.edge_end_weights(), [1 / 3, 0.0, 2 / 3], atol=1e-15)
+        npt.assert_allclose(edge_end_weights(dist), [1 / 3, 2 / 3], atol=1e-15)
 
     def test_normalized_for_random_distributions(self):
         rng = np.random.default_rng(7)
@@ -361,7 +379,7 @@ class TestExcess:
             width = int(rng.integers(1, 60))
             raw = rng.random(width) + 1e-3
             dist = DegreeDistribution(k_min, k_min + width - 1, raw / raw.sum())
-            q = dist.edge_end_weights()
+            q = edge_end_weights(dist)
             npt.assert_allclose(q.sum(), 1.0, atol=1e-12)
             # mean excess degree is <k^2>/<k> - 1
             m2 = (dist.degrees**2 * dist.pmf).sum()
@@ -448,4 +466,11 @@ class TestSerialization:
         p = tmp_path / "bad.txt"
         p.write_text("1 0.5\ntwo 0.5\n")
         with pytest.raises(IngestionError, match="2"):
+            read_distribution(p)
+        path = re.escape(str(p))
+        p.write_text("# degree probability\n1 0.5\n2 0.25 0.25\n")
+        with pytest.raises(IngestionError, match=f"^{path}:3: expected 'degree probability'$"):
+            read_distribution(p)
+        p.write_text("# degree probability\n\n# no rows\n")
+        with pytest.raises(IngestionError, match=f"^{path}: empty distribution file$"):
             read_distribution(p)
