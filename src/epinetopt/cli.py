@@ -314,11 +314,9 @@ def _write_table(path, header, rows) -> None:
 
 
 def write_history_csv(result: OptimizationResult, path) -> None:
-    """Per-iteration objective values as a two-column CSV."""
-    buf = io.StringIO()
-    data = np.column_stack([np.arange(len(result.history)), result.history])
-    np.savetxt(buf, data, delimiter=",", header="iteration,J", comments="")
-    _atomic_write(path, buf.getvalue())
+    """Per-iteration objective values as a two-column CSV, both columns as ``%.18e``."""
+    rows = ((f"{k:.18e}", f"{j:.18e}") for k, j in enumerate(result.history))
+    _write_table(path, ["iteration", "J"], rows)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ class TimeGrid:
     duration: float
 
     def __post_init__(self):
-        if self.n_points < 2:
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
             raise ParameterError(f"need at least 2 grid points, got {self.n_points}", "points")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ParameterError(f"duration must be positive, got {self.duration}")
@@ -154,9 +154,9 @@ class ControlSchedule:
         u.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if u.ndim != 2 or u.shape != v.shape:
+        if u.ndim != 2 or u.shape != v.shape or u.size == 0:
             raise ParameterError(
-                f"u and v must be matching (M, N) arrays, got {u.shape} and {v.shape}"
+                f"u and v must be matching nonempty (M, N) arrays, got {u.shape} and {v.shape}"
             )
         if u.shape[1] != self.grid.n_points:
             raise ParameterError(

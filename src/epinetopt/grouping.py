@@ -1,18 +1,18 @@
 """Equal-mass compression of degree classes.
 
 Degree classes are merged into Z contiguous groups of roughly equal
-probability mass, shrinking the ODE system from 2|K| to 2Z equations;
-the Z groups are further amassed into M control groups (one vaccination
-and one treatment signal each). Every partition of the degree classes is
-made here, the full model's too: the partition at Z = number of classes.
-How much the compression distorts the aggregate epidemic trajectories is
-measured by :func:`~epinetopt.dynamics.grouping_error`.
+probability mass, shrinking the ODE system from 2|K| to 2Z equations, and
+the groups into M control groups (one vaccination and one treatment signal
+each): a :class:`Grouping` at both levels. Every partition is made here,
+the full model's (Z = number of classes) too. How much the compression
+distorts the aggregate trajectories is measured by
+:func:`~epinetopt.dynamics.grouping_error`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +31,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grouping:
-    """Contiguous partition of degree-class indices into groups.
+    """Contiguous partition of an ordered index range into groups.
 
-    ``boundaries`` holds Z+1 offsets into the ascending degree-class
-    array; group ``z`` spans classes ``boundaries[z] .. boundaries[z+1]-1``.
+    ``boundaries`` holds Z+1 integer offsets into the ordered members (degree
+    classes, or groups); group ``z`` spans ``boundaries[z] .. boundaries[z+1]-1``.
     """
 
     boundaries: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=int)
-        object.__setattr__(self, "boundaries", b)
-        if b.ndim != 1 or len(b) < 2 or b[0] != 0:
-            raise ParameterError("boundaries must start at 0 and define >= 1 group")
-        if np.any(np.diff(b) < 1):
-            raise ParameterError("every group must contain at least one degree class")
+        b = np.asarray(self.boundaries)
+        if b.dtype.kind not in "iu" or b.ndim != 1 or len(b) < 2 or b[0] != 0:
+            raise ParameterError("boundaries must be integers, start at 0 and define >= 1 group")
+        object.__setattr__(self, "boundaries", b.astype(int))
+        if np.any(np.diff(self.boundaries) < 1):
+            raise ParameterError("every group must contain at least one member")
 
     @property
     def n_groups(self) -> int:
@@ -88,27 +88,24 @@ class GroupedDistribution:
 
 @dataclass(frozen=True)
 class ControlGroups:
-    """Assignment of the Z groups to M control groups.
+    """The Z groups amassed into M control groups, each a contiguous block of degree.
 
-    ``assignment[z]`` is the control-group index of group ``z`` (monotone
-    nondecreasing, so control groups are Low/Medium/High blocks of degree);
-    ``x[m]`` is the population fraction covered by control group ``m``.
+    ``blocks`` is a :class:`Grouping` of the groups; ``x[m]`` is the population
+    fraction of control group ``m``, and the derived ``assignment[z]`` is the
+    control group of group ``z``.
     """
 
-    assignment: np.ndarray
+    blocks: Grouping
     x: np.ndarray
+    assignment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
         x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "x", x)
-        if a[0] != 0 or np.any(np.diff(a) < 0) or np.any(np.diff(a) > 1):
-            raise ParameterError("assignment must step through 0..M-1 without gaps")
-        if a[-1] != len(x) - 1:
-            raise ParameterError("every control group must receive at least one group")
-        if np.any(x <= 0) or abs(x.sum() - 1) > 1e-12:
-            raise ParameterError("population fractions must be positive and sum to 1")
+        if not (x.shape == (self.blocks.n_groups,) and np.all(x > 0) and abs(x.sum() - 1) <= 1e-12):
+            raise ParameterError("need one positive population fraction per block, summing to 1")
+        a = np.repeat(np.arange(len(x)), np.diff(self.blocks.boundaries))
+        object.__setattr__(self, "assignment", a)
 
     @property
     def n_control(self) -> int:
@@ -117,7 +114,7 @@ class ControlGroups:
     @property
     def starts(self) -> np.ndarray:
         """Index of the first group of each control group (for ``reduceat``)."""
-        return np.r_[0, 1 + np.flatnonzero(np.diff(self.assignment))]
+        return self.blocks.boundaries[:-1]
 
 
 def _greedy_boundaries(masses: np.ndarray, n_groups: int) -> np.ndarray:
@@ -240,14 +237,12 @@ def grouped_stats(
 def amass_control_groups(gd: GroupedDistribution, n_control: int) -> ControlGroups:
     """Amass the Z groups into ``n_control`` equal-mass control groups.
 
-    Applies the same greedy rule as :func:`partition_equal_mass` to the
-    group masses ``p_hat``; each control group receives one vaccination
-    and one treatment signal.
+    Applies the greedy rule of :func:`partition_equal_mass` to the group
+    masses ``p_hat``, making a :class:`Grouping` of the groups; each control
+    group receives one vaccination and one treatment signal.
     """
     z = gd.n_groups
     if not 1 <= n_control <= z:
         raise ParameterError(f"control-group count must be in [1, {z}], got {n_control}", "m")
-    boundaries = _greedy_boundaries(gd.p_hat, n_control)
-    assignment = np.repeat(np.arange(n_control), np.diff(boundaries))
-    x = np.add.reduceat(gd.p_hat, boundaries[:-1])
-    return ControlGroups(assignment=assignment, x=x)
+    blocks = Grouping(_greedy_boundaries(gd.p_hat, n_control))
+    return ControlGroups(blocks, np.add.reduceat(gd.p_hat, blocks.boundaries[:-1]))

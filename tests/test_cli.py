@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line experiment runner."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -37,6 +40,12 @@ class TestConfig:
         assert (cfg.n_groups, cfg.n_control) == (21, 3)
         assert cfg.grid.n_points == 1001
         assert cfg.strategies == ("optimal", "constant", "none")
+
+    def test_demo_config_shows_the_defaults(self):
+        # the README points to demos/experiment.ini for every default value
+        defaults = ExperimentConfig.from_file(None)
+        demo = Path(__file__).resolve().parent.parent / "demos" / "experiment.ini"
+        assert replace(ExperimentConfig.from_file(demo), output_dir=defaults.output_dir) == defaults
 
     def test_file_and_override_precedence(self, tmp_path):
         path = tmp_path / "exp.ini"

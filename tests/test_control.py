@@ -21,6 +21,7 @@ from epinetopt.dynamics import (
 from epinetopt.errors import ParameterError
 from epinetopt.grouping import (
     ControlGroups,
+    Grouping,
     amass_control_groups,
     grouped_stats,
     partition_equal_mass,
@@ -60,6 +61,8 @@ class TestTypes:
             ControlSchedule(np.zeros((3, n)), np.zeros((2, n)), GRID)
         with pytest.raises(ParameterError):
             ControlSchedule(np.zeros((3, n - 1)), np.zeros((3, n - 1)), GRID)
+        with pytest.raises(ParameterError):
+            ControlSchedule(np.zeros((0, n)), np.zeros((0, n)), GRID)  # no control group
 
     def test_schedule_rejects_negative_rates(self):
         n = GRID.n_points
@@ -177,7 +180,7 @@ class TestResourceAllocation:
     def test_symmetric_strategy_splits_fifty_fifty(self):
         # equal weights, equal populations, identical u and v
         grid = TimeGrid(11, 1.0)
-        cg = ControlGroups(np.array([0, 1]), np.array([0.5, 0.5]))
+        cg = ControlGroups(Grouping(np.array([0, 1, 2])), np.array([0.5, 0.5]))
         u = np.vstack([np.linspace(0, 1, 11), np.full(11, 0.3)])
         sched = ControlSchedule(u, u.copy(), grid)
         alloc = resource_allocation(sched, cg, CostParams(0.7, 0.7))
@@ -186,7 +189,7 @@ class TestResourceAllocation:
     def test_hand_computed_shares(self):
         # M=2, flat signals: resources b*x_m*u_m^2*T and c*x_m*v_m^2*T
         grid = TimeGrid(5, 2.0)
-        cg = ControlGroups(np.array([0, 1]), np.array([0.25, 0.75]))
+        cg = ControlGroups(Grouping(np.array([0, 1, 2])), np.array([0.25, 0.75]))
         u = np.vstack([np.full(5, 1.0), np.full(5, 2.0)])
         v = np.vstack([np.full(5, 2.0), np.full(5, 0.0)])
         sched = ControlSchedule(u, v, grid)

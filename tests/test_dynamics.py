@@ -23,7 +23,7 @@ from epinetopt.dynamics import (
     simulate_full,
     simulate_grouped,
 )
-from epinetopt.errors import ParameterError
+from epinetopt.errors import NumericalFailureError, ParameterError
 from epinetopt.grouping import (
     Grouping,
     amass_control_groups,
@@ -88,6 +88,10 @@ class TestValidation:
             TimeGrid(1, 20.0)
         with pytest.raises(ParameterError):
             TimeGrid(100, -1.0)
+        with pytest.raises(ParameterError) as info:
+            TimeGrid(2.5, 1.0)  # not a point count
+        assert info.value.field == "points"
+        assert TimeGrid(np.int64(11), 1.0).t.shape == (11,)
 
     def test_grid_layout(self):
         g = TimeGrid(5, 2.0)
@@ -317,6 +321,14 @@ class TestSimulateGrouped:
         sched = ControlSchedule(np.full((3, n), 0.3), np.full((3, n), 0.2), GRID)
         traj = simulate_grouped(gd, cg, sched, DEFAULTS, GRID)
         npt.assert_allclose(traj.s_hat + traj.i_hat + traj.r_hat, 1.0, atol=1e-9)
+
+    def test_non_finite_state_names_its_grid_step(self):
+        # a nan rate at node 40 reaches the state in the step that ends there
+        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
+        u_z = np.zeros((21, GRID.n_points))
+        u_z[4, 40] = np.nan
+        with pytest.raises(NumericalFailureError, match=r"^non-finite state at grid step 40$"):
+            _integrate(gd, DEFAULTS, GRID, u_z, np.zeros_like(u_z))
 
     def test_schedule_validation(self):
         # a schedule's own shape and signs are ControlSchedule's to check

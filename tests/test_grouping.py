@@ -175,6 +175,8 @@ class TestPartition:
             Grouping(np.array([0, 3, 3, 5]))  # empty group
         with pytest.raises(ParameterError):
             Grouping(np.array([1, 3, 5]))  # does not start at 0
+        with pytest.raises(ParameterError):
+            Grouping(np.array([0, 2.7]))  # not an index
 
 
 class TestPartitionRule:
@@ -350,11 +352,15 @@ class TestControlGroups:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            ControlGroups(np.array([0, 2]), np.array([0.5, 0.5]))  # skips group 1
+            ControlGroups(Grouping(np.array([0, 2])), np.array([0.5, 0.5]))  # 1 block, 2 fractions
         with pytest.raises(ParameterError):
-            ControlGroups(np.array([0, 0]), np.array([0.5, 0.5]))  # group 1 empty
+            ControlGroups(Grouping(np.array([0, 2, 2])), np.array([0.5, 0.5]))  # block 1 empty
         with pytest.raises(ParameterError):
-            ControlGroups(np.array([0, 1]), np.array([0.7, 0.7]))  # not normalized
+            ControlGroups(Grouping(np.array([0, 1, 2])), np.array([0.7, 0.7]))  # not normalized
+        with pytest.raises(ParameterError):
+            ControlGroups(Grouping(np.array([0, 1, 2])), np.array([np.nan, 0.5]))
+        with pytest.raises(ParameterError):
+            ControlGroups(Grouping(np.array([], dtype=int)), np.array([]))  # no block
 
 
 class TestGroupingError:
@@ -432,6 +438,23 @@ class TestGroupingError:
         for counts in (list(range(1, 11)), iter(range(1, 11))):
             with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] in 1000 steps"):
                 grouping_error(PL2, counts, DEFAULTS, GRID)
+
+    def test_non_finite_row_in_a_later_block_names_its_row_and_step(self, monkeypatch):
+        # blocks of 7 rows as above; the state of z = 10, the last row of the
+        # second block, is made non-finite at grid step 25
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
+        clip, steps = dynamics._clip, []
+
+        def poison_second_block(x):
+            if x.shape[1] == 4:
+                steps.append(None)
+                if len(steps) == 25:
+                    x[:, 3] = np.nan
+            return clip(x)
+
+        monkeypatch.setattr(dynamics, "_clip", poison_second_block)
+        with pytest.raises(NumericalFailureError, match=r"^non-finite state of z=10 at grid step 25$"):
+            grouping_error(PL2, range(1, 11), DEFAULTS, GRID)
 
     @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49), (251, 43)])
     def test_clamped_sweep_fails_naming_the_row(self, n, clamps):
