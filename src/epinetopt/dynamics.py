@@ -40,9 +40,16 @@ recomputes each step's stage states from the stored trajectory and
 carries the objective's state derivatives (its node terms, supplied by
 :mod:`~epinetopt.control`) back through the transposed stage Jacobians,
 so the control gradient is exact for the discretized objective up to
-roundoff. The coefficients that do not depend on the adjoint are computed
-per time chunk and the control gradient is accumulated once per chunk,
-by the operations of a step-by-step loop in the same order, so with its bits.
+roundoff. The stage states and the coefficients that do not depend on the
+adjoint are computed per time chunk and the control gradient is
+accumulated once per chunk, by the operations of a step-by-step loop in
+the same order, so with its bits.
+
+Both loops also run a batch of B systems that share the grouping and
+differ in beta and in the controls, as (B, Z, 1) columns: the optimizer
+solves sweep points in lockstep this way. Each row of a batch has the
+bits of its system run alone, because every operation is elementwise or
+a per-row dot product of the shapes the single system uses.
 """
 
 from __future__ import annotations
@@ -224,18 +231,18 @@ def _clip(x):
     return outside
 
 
-def _heun(k_hat, q_hat, xs, u, v, params, grid):
+def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
     """Advance the stacked state ``xs[0]`` over ``grid``, one Heun step at a time.
 
-    ``k_hat``, ``q_hat`` and the states have the shapes of one system or
-    of a batch (see :func:`_rhs`). ``xs`` stores T stacked (s, i) states:
-    the state at grid node n is written to ``xs[n % T]``, so a (N, 2, ...)
-    store keeps every node and a one-entry store is advanced in place.
-    ``u[n]``, ``v[n]`` are the controls at node n. Yields :func:`_clip`'s
-    result after each step.
+    ``k_hat``, ``q_hat``, the spreading rate ``beta`` and the states have
+    the shapes of one system or of a batch (see :func:`_rhs`); a batch
+    gives ``beta`` per row, as (B, 1, 1). ``xs`` stores T stacked (s, i)
+    states: the state at grid node n is written to ``xs[n % T]``, so a
+    (N, 2, ...) store keeps every node and a one-entry store is advanced in
+    place. ``u[n]``, ``v[n]`` are the controls at node n. Yields
+    :func:`_clip`'s result after each step.
     """
-    dt, beta, gamma = grid.dt, params.beta, params.gamma
-    half, t = 0.5 * dt, len(xs)
+    dt, half, t = grid.dt, 0.5 * grid.dt, len(xs)
     sn, inn = xs[0]
     for step in range(1, grid.n_points):
         ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u[step - 1], v[step - 1])
@@ -258,8 +265,47 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     x = np.empty((n, 2, z))  # x[step] = (s, i) at grid node step
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     clamp_events = 0
-    for outside in _heun(gd.k_hat, gd.q_hat, x, u_z.T, v_z.T, params, grid):
+    for outside in _heun(gd.k_hat, gd.q_hat, x, u_z.T, v_z.T, params.beta, params.gamma, grid):
         clamp_events += outside is not None
+    return _trajectory(gd, grid, x, clamp_events)
+
+
+def _integrate_batch(gd, assignment, params, grid, u, v):
+    """Run B systems through one batched :func:`_heun`.
+
+    System b has the epidemic ``params[b]``, and the params differ at most
+    in beta; it has the (M, N) block controls ``u[b]``, ``v[b]`` (group z
+    has the rates of block ``assignment[z]``), and every system has the
+    groups ``gd``. Each step advances the (B, Z, 1) columns of every system
+    at once. Returns one :class:`Trajectory` per system, each with the bits
+    that :func:`_integrate` gives that system alone; a non-finite state in
+    any system raises :class:`NumericalFailureError`.
+    """
+    rows, n, z = len(params), grid.n_points, gd.n_groups
+    beta, gamma, i0 = _per_row(params)
+    x = np.empty((n, 2, rows, z, 1))  # x[step, :, b] = (s, i) of system b
+    x[0, 0], x[0, 1] = 1.0 - i0, i0
+    # (N, B, Z, 1) views of the per-group controls
+    u_t, v_t = (np.moveaxis(np.stack(c)[:, assignment], -1, 0)[..., None] for c in (u, v))
+    clamps = np.zeros(rows, dtype=int)
+    for outside in _heun(gd.k_hat[:, None], gd.q_hat[None], x, u_t, v_t, beta, gamma, grid):
+        if outside is not None:
+            clamps += outside.any(axis=(0, 2, 3))
+    del u_t, v_t  # freed before the trajectories are copied out
+    return [_trajectory(gd, grid, x[:, :, b, :, 0], int(clamps[b])) for b in range(rows)]
+
+
+def _per_row(params):
+    """The (B, 1, 1) spreading rates of a batch's epidemics ``params``, which
+    differ at most in beta, and their recovery rate and seed."""
+    return np.reshape([p.beta for p in params], (-1, 1, 1)), params[0].gamma, params[0].i0
+
+
+def _trajectory(gd, grid, x, clamp_events):
+    """The :class:`Trajectory` of one system's (N, 2, Z) store ``x`` of (s, i) states.
+
+    A non-finite state raises :class:`NumericalFailureError`.
+    """
     s, i = x.transpose(1, 2, 0).copy()  # (Z, N) each
     bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
     if bad.any():
@@ -272,82 +318,143 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     )
 
 
-def _reverse(gd, params, grid, traj, u_z, v_z, node_s, node_i):
-    """Reverse (discrete-adjoint) sweep of :func:`_integrate` under ``u_z``/``v_z``.
+def _reverse(gd, assignment, params, grid, s, i, u, v, node_s, node_i):
+    """Reverse (discrete-adjoint) sweep of :func:`_heun`, for one system or a batch.
 
-    ``traj`` is the forward trajectory under those (Z, N) controls, and
-    ``node_s``/``node_i`` are the objective's derivatives with respect to
-    the group states at each grid node (``node_s`` None if it has none).
-    Returns the (Z, N) derivatives of the objective with respect to
-    ``u_z`` and ``v_z`` through the states.
+    One system passes ``s``, ``i``, its (Z, N) forward trajectory under the
+    (M, N) block controls ``u``, ``v`` (group z has the rates of block
+    ``assignment[z]``), and ``node_s``/``node_i``, the objective's (Z, N)
+    derivatives with respect to the group states at each grid node
+    (``node_s`` None if it has none), under the epidemic ``params``. A
+    batch of B systems that share ``gd`` and ``assignment`` passes
+    ``params`` and each array as a sequence of B, one per system; the
+    params may differ only in beta. Returns the derivatives of the objective
+    with respect to the per-group rates through the states: (Z, N) each,
+    or (B, Z, N) for a batch.
 
-    The grid is walked backwards in chunks of ``_REVERSE_CHUNK`` steps. A
-    chunk computes its coefficients that do not depend on the adjoint,
+    One loop body serves both: it steps (Z,) vectors for one system and
+    (B, Z, 1) columns for a batch, whose dot products are stacked products
+    of (B, 1, Z) rows and (B, Z, 1) columns. The grid is walked backwards
+    in chunks of ``_REVERSE_CHUNK`` steps. A chunk takes the columns it
+    needs, spreads the block controls over the groups, and computes its
+    stage states and the coefficients that do not depend on the adjoint,
     vectorized; its loop carries only the adjoint recursion and stores the
     adjoints; one pass per term then adds the control gradient, stage 1
     into a column before stage 2. Each entry sees the operations of a
     step-by-step loop in the same order, so the bits do not depend on the
-    chunk length. Theta is one product over the whole grid, and the dot
+    chunk length or on the rest of the batch. Theta and the predicted
+    Theta are one product per system over the whole grid, and the dot
     products read contiguous rows: the bits of both depend on the shapes
-    and strides of their inputs.
+    and strides of their inputs. No per-group array spans the grid but the
+    two results and, while the predicted Theta is formed, the predicted i.
     """
-    beta, gamma = params.beta, params.gamma
-    k_hat, q_hat = gd.k_hat, gd.q_hat
-    n, dt = grid.n_points, grid.dt
-    s, i = traj.s_hat, traj.i_hat
-    bk, bq = beta * k_hat, beta * q_hat
+    n, dt, z = grid.n_points, grid.dt, gd.n_groups
     half, g_scale = 0.5 * dt, -0.5 * dt
+    batch = not isinstance(params, EpidemicParams)
+    if batch:  # stepped as (B, Z, 1) columns, with (B, 1, Z) rows for the dot products
+        (beta, gamma, _), dot = _per_row(params), np.matmul
+        shape, row = (len(params), z, 1), (len(params), 1, z)
+        k_col, q_col = gd.k_hat[:, None], gd.q_hat[:, None]
 
-    # stage quantities for every step, vectorized over time
-    theta = q_hat @ i  # (N,)
-    infect = bk[:, None] * s * theta[None, :]
-    sp = s + dt * (-infect - u_z * s)  # predictor states for step n live
-    ip = i + dt * (infect - gamma * i - v_z * i)  # in column n
-    theta_p = q_hat @ ip
+        def cols(x, at):  # (B, R, 1, steps): columns ``at`` of B (R, N) arrays
+            return np.stack([x_b[:, at] for x_b in x])[:, :, None]
 
-    g_u, g_v = np.zeros_like(u_z), np.zeros_like(v_z)
+        def spread(c):
+            return c[:, assignment]
+
+        def pressure(x):  # Theta of each system over the whole grid, (B, 1, 1, N)
+            return np.stack([gd.q_hat @ np.reshape(x_b, (z, n)) for x_b in x])[:, None, None]
+    else:
+        beta, gamma, dot = params.beta, params.gamma, np.dot
+        shape, row, k_col, q_col = (z,), (z,), gd.k_hat, gd.q_hat
+
+        def cols(x, at):
+            return x[:, at]
+
+        def spread(c):
+            return c[assignment]
+
+        def pressure(x):  # (1, N)
+            return (gd.q_hat @ x)[None]
+
+    to_steps = (len(shape), *range(len(shape)))  # transposes (*shape, n) to (n, *shape)
+
+    def steps(x):  # time-major view: x[..., n] becomes steps(x)[n]
+        return x.transpose(to_steps)
+
+    bk, bq = beta * k_col, beta * q_col
+    theta = pressure(i)
+
+    def stage(at, u_at, v_at):
+        """Columns ``at`` of s, i and of the predicted states, under the
+        per-group controls ``u_at``, ``v_at`` there: the predictor of the step
+        from node n is in column n."""
+        s_at, i_at = cols(s, at), cols(i, at)
+        infect = bk[..., None] * s_at * theta[..., at]
+        sp = s_at + dt * (-infect - u_at * s_at)
+        ip = i_at + dt * (infect - gamma * i_at - v_at * i_at)
+        return s_at, i_at, sp, ip
+
     chunk = min(_REVERSE_CHUNK, n - 1)
+    ip = np.empty((*shape, n))
+    for lo in range(0, n, 4 * chunk):  # in pieces of a few chunks, to bound memory
+        at = slice(lo, lo + 4 * chunk)
+        ip[..., at] = stage(at, spread(cols(u, at)), spread(cols(v, at)))[3]
+    theta_p = pressure(ip)
+    del ip
+    theta_t, theta_pt = steps(theta), steps(theta_p)
+
+    g_u, g_v = np.zeros((*shape, n)), np.zeros((*shape, n))
     # step lo + j of a chunk: lam[j + 1] = dJ/d(s, i at node lo + j + 1), node
     # terms included; mu[j] the same at the predicted state; lam[0] carries on
-    lam, mu = np.empty((chunk + 1, 2, gd.n_groups)), np.empty((chunk, 2, gd.n_groups))
-    lam[0, 0] = 0.0 if node_s is None else node_s[:, -1]
-    lam[0, 1] = node_i[:, -1]
-    h1, h0 = np.empty((2, gd.n_groups)), np.empty((2, gd.n_groups))  # stage products
+    last = slice(n - 1, n)
+    lam, mu = np.empty((chunk + 1, 2, *shape)), np.empty((chunk, 2, *shape))
+    from_steps = (*range(1, lam.ndim), 0)  # (steps, 2, *shape) to (2, *shape, steps)
+    lam[0, 0] = 0.0 if node_s is None else steps(cols(node_s, last))[0]
+    lam[0, 1] = steps(cols(node_i, last))[0]
+    h1, h0 = np.empty((2, *shape)), np.empty((2, *shape))  # stage products
     h1_s, h1_i, h0_s, h0_i = h1[0], h1[1], h0[0], h0[1]
     for hi in range(n - 1, 0, -chunk):
         lo = max(hi - chunk, 0)
         now, nxt = slice(lo, hi), slice(lo + 1, hi + 1)  # nodes n and n + 1
         lam[hi - lo] = lam[0]
         lam_s, lam_i = lam_j = lam[hi - lo]
-        # (steps, Z) coefficients: stage 2 (node n + 1 controls), stage 1 (node n)
-        a1 = bk * theta_p[now, None]
-        c1, d1 = -a1 - u_z[:, nxt].T, gamma + v_z[:, nxt].T
-        a0 = bk * theta[now, None]
-        c0, d0 = -a0 - u_z[:, now].T, gamma + v_z[:, now].T
-        e1, e0 = (np.multiply(k_hat, x[:, now].T, order="C") for x in (sp, s))
+        span = slice(lo, hi + 1)
+        u_span, v_span = spread(cols(u, span)), spread(cols(v, span))
+        s_now, i_now, sp_now, ip_now = stage(now, u_span[..., :-1], v_span[..., :-1])
+        # (steps, *shape) coefficients: stage 2 (node n + 1 controls), stage 1 (node n)
+        a1 = bk * theta_pt[now]
+        c1, d1 = -a1 - steps(u_span[..., 1:]), gamma + steps(v_span[..., 1:])
+        a0 = bk * theta_t[now]
+        c0, d0 = -a0 - steps(u_span[..., :-1]), gamma + steps(v_span[..., :-1])
+        # (steps, *row) C-contiguous rows k_hat * state, and the node terms
+        e1, e0 = (np.multiply(k_col, steps(x), order="C").reshape(-1, *row)
+                  for x in (sp_now, s_now))
+        ni = steps(cols(node_i, now))
+        ns = None if node_s is None else steps(cols(node_s, now))
         for j in range(hi - lo - 1, -1, -1):
             mu_j = mu[j]
             mu_s, mu_i = mu_j[0], mu_j[1]
             # transposed-Jacobian products at the predicted state (stage 2)
             np.add(c1[j] * lam_s, a1[j] * lam_i, out=h1_s)
-            np.subtract(bq * np.dot(e1[j], lam_i - lam_s), d1[j] * lam_i, out=h1_i)
+            np.subtract(bq * dot(e1[j], lam_i - lam_s), d1[j] * lam_i, out=h1_i)
             np.add(lam_j, dt * h1, out=mu_j)
             # and at the step start (stage 1)
             np.add(c0[j] * mu_s, a0[j] * mu_i, out=h0_s)
-            np.subtract(bq * np.dot(e0[j], mu_i - mu_s), d0[j] * mu_i, out=h0_i)
+            np.subtract(bq * dot(e0[j], mu_i - mu_s), d0[j] * mu_i, out=h0_i)
             lam_j = np.add(lam_j, half * (h1 + h0), out=lam[j])
             lam_s, lam_i = lam_j[0], lam_j[1]
-            lam_i += node_i[:, lo + j]
-            if node_s is not None:
-                lam_s += node_s[:, lo + j]
+            lam_i += ni[j]
+            if ns is not None:
+                lam_s += ns[j]
         # control gradients: stage 1 uses node n controls, stage 2 node n + 1
-        lam_s, lam_i = lam[1:hi - lo + 1].transpose(1, 2, 0)
-        mu_s, mu_i = mu[:hi - lo].transpose(1, 2, 0)
-        g_u[:, now] += (g_scale * s[:, now]) * mu_s
-        g_v[:, now] += (g_scale * i[:, now]) * mu_i
-        g_u[:, nxt] += (g_scale * sp[:, now]) * lam_s
-        g_v[:, nxt] += (g_scale * ip[:, now]) * lam_i
-    return g_u, g_v
+        lam_s, lam_i = lam[1:hi - lo + 1].transpose(from_steps)
+        mu_s, mu_i = mu[:hi - lo].transpose(from_steps)
+        g_u[..., now] += (g_scale * s_now) * mu_s
+        g_v[..., now] += (g_scale * i_now) * mu_i
+        g_u[..., nxt] += (g_scale * sp_now) * lam_s
+        g_v[..., nxt] += (g_scale * ip_now) * lam_i
+    return (g_u[:, :, 0], g_v[:, :, 0]) if batch else (g_u, g_v)
 
 
 def _check_model(params, grid, gd=None, cg=None):
@@ -459,7 +566,8 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
         s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
         s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
         clamps = np.zeros(rows, dtype=int)
-        for step, outside in enumerate(_heun(k, q, x, zeros, zeros, params, grid), 1):
+        steps = _heun(k, q, x, zeros, zeros, params.beta, params.gamma, grid)
+        for step, outside in enumerate(steps, 1):
             if outside is not None:
                 clamps += outside.any(axis=(0, 2, 3))
             s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]

@@ -191,8 +191,10 @@ def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Group
 
 def _partition_equal_mass(dist: DegreeDistribution, n_groups: int) -> Grouping:
     """:func:`partition_equal_mass` without the warning when groups are merged."""
-    if not 1 <= n_groups <= dist.n_classes:
-        raise ParameterError(f"group count must be in [1, {dist.n_classes}], got {n_groups}", "z")
+    if not (isinstance(n_groups, (int, np.integer)) and 1 <= n_groups <= dist.n_classes):
+        raise ParameterError(
+            f"group count must be an integer in [1, {dist.n_classes}], got {n_groups}", "z"
+        )
     return Grouping(_merge_zero_mass(_greedy_boundaries(dist.pmf, n_groups), dist.pmf))
 
 
@@ -242,7 +244,9 @@ def amass_control_groups(gd: GroupedDistribution, n_control: int) -> ControlGrou
     group receives one vaccination and one treatment signal.
     """
     z = gd.n_groups
-    if not 1 <= n_control <= z:
-        raise ParameterError(f"control-group count must be in [1, {z}], got {n_control}", "m")
+    if not (isinstance(n_control, (int, np.integer)) and 1 <= n_control <= z):
+        raise ParameterError(
+            f"control-group count must be an integer in [1, {z}], got {n_control}", "m"
+        )
     blocks = Grouping(_greedy_boundaries(gd.p_hat, n_control))
     return ControlGroups(blocks, np.add.reduceat(gd.p_hat, blocks.boundaries[:-1]))

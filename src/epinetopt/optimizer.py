@@ -18,6 +18,14 @@ not rebuilt: the line search hands the accepted point's evaluation to the
 gradient and, at the end, to the result, whose ``trajectory`` and
 ``breakdown`` callers use instead of re-simulating. :func:`sweep` prices
 its heuristics through the same step.
+
+The solve is written once, as a generator of the sweeps it needs
+(:func:`_solve`). :func:`optimize` answers its requests one at a time on
+the one-system kernels. :func:`sweep` runs its points two at a time in
+lockstep: each round answers their forward requests by one batched
+forward sweep and their gradient requests by one batched reverse sweep.
+A batched sweep gives each row the bits it has alone, so every sweep row
+is the :func:`optimize` result at its point.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .control import (
     zero_strategy,
 )
 from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory
-from .dynamics import _check_model, _integrate, _reverse
+from .dynamics import _check_model, _integrate, _integrate_batch, _reverse
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -59,6 +67,11 @@ _MAX_ITERATIONS = 2000
 _MEMORY = 10  # curvature pairs kept by L-BFGS
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 50
+
+# Sweep points solved in lockstep. Each running solve holds ~1 MB at the
+# default size (its 10 L-BFGS pairs take 0.96 MB), and the benchmark's
+# peak-memory bound leaves room for two.
+_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -105,16 +118,38 @@ def _split(problem: OptimizationProblem, x: np.ndarray):
     return x[: m * n].reshape(m, n), x[m * n :].reshape(m, n)
 
 
+def _evaluate(problem, x):
+    """:func:`_forward` of the flat decision vector ``x``."""
+    return _forward(problem, *_split(problem, x))
+
+
 @fp_checked
-def _forward(problem, u, v):
+def _forward(problem, u, v, traj=None):
     """Evaluate the schedule (u, v): simulate it, check it, price it.
 
+    ``traj``, if given, is its trajectory already and spares the sweep.
     Returns ``(schedule, trajectory, breakdown)``; a non-finite state or
     objective raises :class:`NumericalFailureError`.
     """
     schedule = ControlSchedule(u, v, problem.grid)
-    a = problem.cg.assignment
-    traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
+    if traj is None:
+        a = problem.cg.assignment
+        traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
+    return _priced(problem, schedule, traj)
+
+
+def _forward_batch(problems, requests):
+    """:func:`_forward` of each point ``x`` of ``requests`` (one ``(x,)`` per
+    problem) by one batched sweep; the problems differ at most in beta and cost."""
+    p, controls = problems[0], [_split(q, x) for q, (x,) in zip(problems, requests)]
+    schedules = [ControlSchedule(u, v, p.grid) for u, v in controls]
+    params = [q.params for q in problems]
+    trajs = _integrate_batch(p.gd, p.cg.assignment, params, p.grid, *zip(*controls))
+    return [_priced(*args) for args in zip(problems, schedules, trajs)]
+
+
+def _priced(problem, schedule, traj):
+    """The evaluation of ``schedule``, whose trajectory is ``traj``: price it and check J."""
     breakdown = evaluate_cost(traj, schedule, problem.cg, problem.cost)
     if not np.isfinite(breakdown.J):
         raise NumericalFailureError("objective is not finite")
@@ -134,17 +169,39 @@ def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray, evaluati
     adjoint), which differentiates the discretized objective exactly;
     the per-group result is summed onto the control groups.
     """
-    u, v = _split(problem, np.asarray(x, dtype=float))
-    _, traj, breakdown = _forward(problem, u, v) if evaluation is None else evaluation
-    cg = problem.cg
-    node_s, node_i, du, dv = _cost_gradient(problem.cost, cg, u, v, traj)
-    a = cg.assignment
-    g_u, g_v = _reverse(problem.gd, problem.params, problem.grid, traj, u[a], v[a], node_s, node_i)
+    x = np.asarray(x, dtype=float)
+    u, v = _split(problem, x)
+    if evaluation is None:
+        evaluation = _forward(problem, u, v)
+    return _gradients([problem], [(x, evaluation)])[0]
+
+
+def _gradients(problems, requests):
+    """``(J, gradient)`` of each ``(x, evaluation)`` of ``requests``, one per
+    problem, by one reverse sweep: of one system, or of a batch of problems
+    that differ at most in beta and cost."""
+    p, rows = problems[0], []
+    for q, (x, (_, traj, breakdown)) in zip(problems, requests):
+        u, v = _split(q, x)
+        rows.append((breakdown.J, u, v, traj, *_cost_gradient(q.cost, q.cg, u, v, traj)))
+    js, us, vs, trajs, node_s, node_i, dus, dvs = zip(*rows)
+    one = len(rows) == 1  # one system keeps its (Z,) vectors
+    pick = (lambda per_row: per_row[0]) if one else list
+    g_u, g_v = _reverse(
+        p.gd, p.cg.assignment, pick([q.params for q in problems]), p.grid,
+        pick([t.s_hat for t in trajs]), pick([t.i_hat for t in trajs]), pick(us), pick(vs),
+        None if node_s[0] is None else pick(node_s), pick(node_i),
+    )
+    if one:
+        g_u, g_v = [g_u], [g_v]
     # collapse per-group rows onto the control groups (contiguous blocks),
     # then add the cost's direct derivatives
-    g_u = np.add.reduceat(g_u, cg.starts, axis=0) + du
-    g_v = np.add.reduceat(g_v, cg.starts, axis=0) + dv
-    return breakdown.J, np.concatenate([g_u.ravel(), g_v.ravel()])
+    starts = p.cg.starts
+    return [
+        (j, np.concatenate([(np.add.reduceat(gu, starts, axis=0) + du).ravel(),
+                            (np.add.reduceat(gv, starts, axis=0) + dv).ravel()]))
+        for j, gu, gv, du, dv in zip(js, g_u, g_v, dus, dvs)
+    ]
 
 
 def _active(x, g, upper):
@@ -175,19 +232,58 @@ def optimize(
     accepted step's iterate, or when the line search fails even along
     steepest descent (``converged=False``). J never exceeds the initial J.
     """
+
+    def serve(kind, x, *args):
+        if kind == "forward":
+            return _evaluate(problem, x)
+        if kind == "gradient":
+            return objective_and_gradient(problem, x, *args)
+        return _line_search(problem, x, *args)
+
+    return _run(_solve(problem, initial), serve)
+
+
+def _run(process, serve):
+    """Drive the generator ``process``: answer each request it yields with
+    ``serve(*request)`` and return what it returns."""
+    reply = None
+    while True:
+        try:
+            request = process.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = serve(*request)
+
+
+def _solve(problem, initial=None, start=None):
+    """The solve of :func:`optimize` as a generator of the sweeps it needs.
+
+    It yields ``("forward", x)`` for the evaluation of ``x``,
+    ``("gradient", x, evaluation)`` for ``(J, gradient)`` at the iterate
+    ``x``, and ``("search", x, j, g, d)`` for :func:`_line_search`'s answer,
+    and returns the :class:`OptimizationResult`. Each answer is a function
+    of its request alone, so the solve does not depend on who answers:
+    :func:`optimize` answers one request at a time, and :func:`sweep`
+    answers the requests of several solves by batched sweeps. ``start``,
+    if given and the evaluation of the projected initial point, spares its
+    forward sweep.
+    """
     m = problem.cg.n_control
     if initial is None:
         initial = constant_strategy(problem.params, problem.grid, m)
     if initial.n_control != m or not initial.grid.matches(problem.grid):
         raise ParameterError("initial schedule does not match the problem layout")
     upper = problem.cost.rate_max
-    x = _project(np.concatenate([initial.u.ravel(), initial.v.ravel()]), upper)
-    evaluation = _forward(problem, *_split(problem, x))
+    x = _project(_pack(initial), upper)
+    evaluation = start
+    if start is None or not np.array_equal(x, _pack(start[0])):
+        evaluation = yield "forward", x
+    del start  # the solve holds one evaluation at a time
     history, pairs, stall = [], [], 0  # pairs: the L-BFGS (s, y, 1 / s.y)
 
     while True:
         # the iterate x, reached by a step from x_old unless it is the first
-        j, g = objective_and_gradient(problem, x, evaluation)
+        j, g = yield "gradient", x, evaluation
         if history:
             s, y = x - x_old, g - g_old
             sy = float(s @ y)
@@ -210,11 +306,11 @@ def optimize(
         d[held] = 0.0
         if g @ d >= 0:  # the masked step is no longer a descent direction
             d = -pg
-        accepted = _line_search(problem, x, j, g, d)
+        accepted = yield "search", x, j, g, d
         if accepted is None and pairs:
             # curvature model misleading: drop it and retry with steepest descent
             pairs.clear()
-            accepted = _line_search(problem, x, j, g, -pg)
+            accepted = yield "search", x, j, g, -pg
         if accepted is None:
             break
         x_old, g_old = x, g
@@ -230,6 +326,10 @@ def optimize(
         gradient_norm=pg_norm,
         history=np.asarray(history),
     )
+
+
+def _pack(schedule):
+    return np.concatenate([schedule.u.ravel(), schedule.v.ravel()])
 
 
 def _lbfgs_direction(g, pairs):
@@ -254,12 +354,18 @@ def _line_search(problem, x, j, g, d):
 
     Returns the accepted point and its evaluation, or None.
     """
+    return _run(_trials(problem, x, j, g, d), lambda _, x_new: _evaluate(problem, x_new))
+
+
+def _trials(problem, x, j, g, d):
+    """:func:`_line_search` as a generator: it yields ``("forward", x_new)``
+    for each trial point and is sent its evaluation."""
     alpha = 1.0
     for _ in range(_MAX_BACKTRACKS):
         x_new = _project(x + alpha * d, problem.cost.rate_max)
         step = x_new - x
         if step.any():
-            evaluation = _forward(problem, *_split(problem, x_new))
+            evaluation = yield "forward", x_new
             if evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
                 return x_new, evaluation
         alpha *= 0.5
@@ -300,42 +406,148 @@ def sweep(
     """Optimize at each parameter value and compare with the heuristics.
 
     ``name`` selects the swept parameter: the spreading rate ``beta`` or
-    one of the cost weights ``b``, ``c``. Every point is solved by
-    :func:`optimize` under its fixed stop rule. Per-point failures are
-    recorded in the returned row and the sweep continues.
+    one of the cost weights ``b``, ``c``. Every point is solved as
+    :func:`optimize` solves it, under its fixed stop rule, and its row has
+    the bits of that solve whatever the other values: the points run
+    ``_WIDTH`` at a time in lockstep (:func:`_lockstep`). The heuristics
+    are simulated per point in a ``beta`` sweep, and once for a ``b`` or
+    ``c`` sweep, whose dynamics do not depend on the weight; they are
+    priced per point, and the constant one is the solve's first iterate.
+    Per-point failures are recorded in the returned row and the sweep
+    continues; a point whose problem cannot be built is never solved.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
-    rows = []
-    for value in values:
+    values = [float(value) for value in values]
+    failures = (NumericalFailureError, ParameterError)
+    heuristics = {}  # per point: the constant and no-control breakdowns, or errors
+    shared = [None, None]  # a b or c sweep's heuristic trajectories
+
+    def point(k, value):
+        """Point k's problem and its heuristics' first-iterate evaluation, or None."""
         try:
             if name == "beta":
-                variant = replace(problem, params=replace(problem.params, beta=float(value)))
+                variant = replace(problem, params=replace(problem.params, beta=value))
             else:
-                variant = replace(problem, cost=replace(problem.cost, **{name: float(value)}))
-            res = optimize(variant)
-            const, none = (
-                _forward(variant, sched.u, sched.v)[2]
-                for sched in (
-                    constant_strategy(variant.params, variant.grid, variant.cg.n_control),
-                    zero_strategy(variant.grid, variant.cg.n_control),
-                )
+                variant = replace(problem, cost=replace(problem.cost, **{name: value}))
+        except failures as exc:
+            heuristics[k] = (exc,)
+            return None
+        m, found = variant.cg.n_control, []
+        for h, schedule in enumerate((constant_strategy(variant.params, variant.grid, m),
+                                      zero_strategy(variant.grid, m))):
+            try:
+                found.append(_forward(variant, schedule.u, schedule.v, shared[h]))
+            except failures as exc:
+                found.append(exc)
+            else:
+                if name != "beta":
+                    shared[h] = found[h][1]
+        heuristics[k] = [e if isinstance(e, Exception) else e[2] for e in found]
+        return k, variant, None if isinstance(found[0], Exception) else found[0]
+
+    solved = _lockstep(filter(None, map(point, range(len(values)), values)))
+    rows = []
+    for k, value in enumerate(values):
+        outcomes = (solved.get(k), *heuristics[k])
+        error = next((e for e in outcomes if isinstance(e, Exception)), None)
+        if error is not None:
+            rows.append(SweepPoint(value, error=str(error)))
+            continue
+        res, const, none = outcomes
+        rows.append(
+            SweepPoint(
+                value=value,
+                J_optimal=res.J,
+                J_constant=const.J,
+                J_none=none.J,
+                improvement_over_constant=improvement_percent(const.J, res.J),
+                improvement_over_none=improvement_percent(none.J, res.J),
+                cumulative_infected_optimal=res.breakdown.infection_term,
+                cumulative_infected_constant=const.infection_term,
+                cumulative_infected_none=none.infection_term,
+                converged=res.converged,
             )
-            rows.append(
-                SweepPoint(
-                    value=float(value),
-                    J_optimal=res.J,
-                    J_constant=const.J,
-                    J_none=none.J,
-                    improvement_over_constant=improvement_percent(const.J, res.J),
-                    improvement_over_none=improvement_percent(none.J, res.J),
-                    cumulative_infected_optimal=res.breakdown.infection_term,
-                    cumulative_infected_constant=const.infection_term,
-                    cumulative_infected_none=none.infection_term,
-                    converged=res.converged,
-                )
-            )
-        except (NumericalFailureError, ParameterError) as exc:
-            rows.append(SweepPoint(float(value), error=str(exc)))
+        )
     return rows
 
+
+@fp_checked
+def _lockstep(jobs):
+    """Solve each ``(key, problem, start)`` of ``jobs`` as :func:`optimize`
+    does, ``_WIDTH`` solves at a time; the problems differ at most in beta
+    and cost.
+
+    Each round answers every running solve's forward requests (its first
+    iterate and its line searches' trial points) by one batched sweep, then
+    every gradient request by one batched reverse sweep. A solve that ends
+    leaves the batch, and the next job takes its slot. A batched answer
+    gives each row the bits it has alone; if it raises, each of its rows is
+    answered alone, a row that raises then has failed, and the others go
+    on. Returns ``{key: OptimizationResult, or the error that ended it}``.
+    """
+    jobs, outcomes, running = iter(jobs), {}, []  # running: [key, problem, solve, request]
+    failures = (NumericalFailureError, ParameterError, RuntimeWarning)
+    # The rounds' work is done in these helpers, so that no request or answer
+    # outlives its round.
+
+    def send(slot, reply):
+        key, problem, solve, _ = slot
+        try:
+            slot[3] = solve.send(reply)
+        except StopIteration as done:
+            outcomes[key] = done.value
+        except failures:  # the solve's own step failed: optimize gives its error
+            try:
+                outcomes[key] = optimize(problem)
+            except (NumericalFailureError, ParameterError) as exc:
+                outcomes[key] = exc
+        else:
+            running.append(slot)
+
+    def start():
+        for key, problem, first in jobs:
+            send([key, problem, _searching(problem, _solve(problem, start=first)), None], None)
+            return True
+        return False
+
+    def answer(kind, alone, together):
+        batch = [slot for slot in running if slot[3][0] == kind]
+        running[:] = [slot for slot in running if slot[3][0] != kind]
+        problems, requests = [slot[1] for slot in batch], [slot[3][1:] for slot in batch]
+        replies = None
+        if len(batch) > 1:
+            try:
+                replies = together(problems, requests)
+            except failures:
+                pass  # answered row by row below
+        for n, slot in enumerate(batch):
+            try:
+                reply = alone(problems[n], *requests[n]) if replies is None else replies[n]
+            except (NumericalFailureError, ParameterError) as exc:
+                outcomes[slot[0]] = exc
+            else:
+                send(slot, reply)
+
+    while True:
+        while len(running) < _WIDTH and start():
+            pass
+        if not running:
+            return outcomes
+        answer("forward", _evaluate, _forward_batch)
+        answer("gradient", objective_and_gradient, _gradients)
+
+
+def _searching(problem, solve):
+    """The generator ``solve`` (:func:`_solve`) with its line searches run
+    inline, so that it yields only forward and gradient requests."""
+    reply = None
+    while True:
+        try:
+            kind, x, *args = solve.send(reply)
+        except StopIteration as done:
+            return done.value
+        if kind == "search":
+            reply = yield from _trials(problem, x, *args)
+        else:
+            reply = yield kind, x, *args

@@ -5,6 +5,7 @@ not imported) so integration accuracy is checked against an independent
 route. Frozen constants come from that reference run at high resolution.
 """
 
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from epinetopt.dynamics import (
     EpidemicParams,
     TimeGrid,
     _integrate,
+    _integrate_batch,
     _reverse,
     cumulative_infected,
     simulate_full,
@@ -469,49 +471,93 @@ COSTS = {"rate": CostParams(0.25, 0.5), "dose": CostParams(0.25, 0.5, "dose", ra
 
 
 def swept_problem(functional, n_points):
-    """Grouped PL2 (Z = 21, M = 3) under a smooth random schedule.
+    """Grouped PL2 (Z = 21, M = 3) under the cost of ``functional``.
 
     ``"dose"`` uses the excess-degree pressure, and its objective has a
-    susceptible node term. Returns ``(gd, grid, u_z, v_z, trajectory,
-    node_s, node_i)``.
+    susceptible node term. Returns ``(gd, cg, grid)``.
     """
     excess = functional == "dose"
     gd = grouped_stats(PL2, partition_equal_mass(PL2, 21), excess_degree=excess)
-    cg = amass_control_groups(gd, 3)
-    grid = TimeGrid(n_points, 20.0)
-    rng = np.random.default_rng(n_points)
+    return gd, amass_control_groups(gd, 3), TimeGrid(n_points, 20.0)
+
+
+def swept_schedule(grid, seed):
+    """A smooth random (3, N) schedule ``(u, v)``."""
+    rng = np.random.default_rng(seed)
     t = grid.t / grid.duration
     u = 0.3 + 0.2 * np.sin(2 * np.pi * (t + rng.random((3, 1))))
     v = 0.3 + 0.2 * np.cos(2 * np.pi * (t + rng.random((3, 1))))
-    u_z, v_z = u[cg.assignment], v[cg.assignment]
-    traj = _integrate(gd, DEFAULTS, grid, u_z, v_z)
+    return u, v
+
+
+def node_terms(functional, cg, u, v, traj):
     node_s, node_i, _, _ = _cost_gradient(COSTS[functional], cg, u, v, traj)
-    return gd, grid, u_z, v_z, traj, node_s, node_i
+    assert (node_s is None) == (functional == "rate")
+    return node_s, node_i
 
 
 class TestSweepsMatchStepwiseLoops:
     @pytest.mark.parametrize("functional", ["rate", "dose"])
     @pytest.mark.parametrize("n", [2, 3, CHUNK, CHUNK + 1, CHUNK + 2, 126, 201, 1001])
     def test_bitwise_equal(self, functional, n):
-        gd, grid, u_z, v_z, traj, node_s, node_i = swept_problem(functional, n)
-        assert (node_s is None) == (functional == "rate")
+        gd, cg, grid = swept_problem(functional, n)
+        u, v = swept_schedule(grid, n)
+        u_z, v_z = u[cg.assignment], v[cg.assignment]
+        traj = _integrate(gd, DEFAULTS, grid, u_z, v_z)
+        node_s, node_i = node_terms(functional, cg, u, v, traj)
         s, i, clamps = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
         assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
         assert traj.clamp_events == clamps
         if n == 126:  # a grid that clamps under this schedule
             assert clamps > 0
-        g_u, g_v = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        g_u, g_v = _reverse(gd, cg.assignment, DEFAULTS, grid, s, i, u, v, node_s, node_i)
         ref_u, ref_v = stepwise_reverse(gd, DEFAULTS, grid, s, i, u_z, v_z, node_s, node_i)
         assert np.array_equal(g_u, ref_u) and np.array_equal(g_v, ref_v)
+
+    @pytest.mark.parametrize("functional", ["rate", "dose"])
+    @pytest.mark.parametrize("n", [2, 3, CHUNK, CHUNK + 1, CHUNK + 2, 126, 201, 1001])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_batch_rows_equal_stepwise(self, functional, n, rows):
+        # rows of different schedules and spreading rates, swept together
+        gd, cg, grid = swept_problem(functional, n)
+        betas = [0.5, 0.8, 0.35][:rows]
+        schedules = [swept_schedule(grid, n + row) for row in range(rows)]
+        us, vs = zip(*schedules)
+        params = [replace(DEFAULTS, beta=beta) for beta in betas]
+        trajs = _integrate_batch(gd, cg.assignment, params, grid, us, vs)
+        u_z, v_z = (np.stack(c)[:, cg.assignment] for c in (us, vs))
+        terms = [node_terms(functional, cg, u, v, t) for (u, v), t in zip(schedules, trajs)]
+        node_s, node_i = ([t[k] for t in terms] for k in (0, 1))
+        g_u, g_v = _reverse(
+            gd, cg.assignment, params, grid,
+            [t.s_hat for t in trajs], [t.i_hat for t in trajs], us, vs,
+            None if functional == "rate" else node_s, node_i,
+        )
+        for row, params_b in enumerate(params):
+            s, i, clamps = stepwise_integrate(gd, params_b, grid, u_z[row], v_z[row])
+            traj = trajs[row]
+            assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+            assert traj.clamp_events == clamps
+            alone = _integrate(gd, params_b, grid, u_z[row], v_z[row])
+            assert all(np.array_equal(getattr(traj, f.name), getattr(alone, f.name))
+                       for f in fields(traj))
+            ref_u, ref_v = stepwise_reverse(
+                gd, params_b, grid, s, i, u_z[row], v_z[row], node_s[row], node_i[row]
+            )
+            assert np.array_equal(g_u[row], ref_u) and np.array_equal(g_v[row], ref_v)
 
     @pytest.mark.parametrize("functional", ["rate", "dose"])
     @pytest.mark.parametrize("chunk", [1, 7, 1001])
     @pytest.mark.parametrize("n", [2, 3, CHUNK + 1, 201])
     def test_chunk_length_leaves_gradient_unchanged(self, functional, chunk, n, monkeypatch):
-        gd, grid, u_z, v_z, traj, node_s, node_i = swept_problem(functional, n)
-        want = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        gd, cg, grid = swept_problem(functional, n)
+        u, v = swept_schedule(grid, n)
+        traj = _integrate(gd, DEFAULTS, grid, u[cg.assignment], v[cg.assignment])
+        args = (gd, cg.assignment, DEFAULTS, grid, traj.s_hat, traj.i_hat,
+                u, v, *node_terms(functional, cg, u, v, traj))
+        want = _reverse(*args)
         monkeypatch.setattr(dynamics, "_REVERSE_CHUNK", chunk)
-        got = _reverse(gd, DEFAULTS, grid, traj, u_z, v_z, node_s, node_i)
+        got = _reverse(*args)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -533,7 +579,7 @@ class TestViewsShareOneStep:
         x[0, 0], x[0, 1] = 1.0 - DEFAULTS.i0, DEFAULTS.i0
         zeros = [0.0] * n
         k, q = gd.k_hat[None, :, None], gd.q_hat[None, None, :]
-        steps = dynamics._heun(k, q, x, zeros, zeros, DEFAULTS, grid)
+        steps = dynamics._heun(k, q, x, zeros, zeros, DEFAULTS.beta, DEFAULTS.gamma, grid)
         clamps = sum(outside is not None for outside in steps)
         assert np.array_equal(x[0, 0, 0, :, 0], traj.s_hat[:, -1])
         assert np.array_equal(x[0, 1, 0, :, 0], traj.i_hat[:, -1])

@@ -150,10 +150,10 @@ class TestPartition:
             )
 
     def test_group_count_out_of_range(self):
-        with pytest.raises(ParameterError):
-            partition_equal_mass(PL2, 0)
-        with pytest.raises(ParameterError):
-            partition_equal_mass(PL2, PL2.n_classes + 1)
+        for count in (0, PL2.n_classes + 1, 2.5):
+            with pytest.raises(ParameterError) as info:
+                partition_equal_mass(PL2, count)
+            assert info.value.field == "z"
 
     def test_zero_mass_groups_merged_with_warning(self):
         # interior zero-mass classes force empty groups at full resolution
@@ -345,10 +345,10 @@ class TestControlGroups:
 
     def test_count_out_of_range(self):
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
-        with pytest.raises(ParameterError):
-            amass_control_groups(gd, 0)
-        with pytest.raises(ParameterError):
-            amass_control_groups(gd, 22)
+        for count in (0, 22, 2.5):
+            with pytest.raises(ParameterError) as info:
+                amass_control_groups(gd, count)
+            assert info.value.field == "m"
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -20,11 +20,12 @@ from epinetopt.dynamics import (
     cumulative_infected,
     simulate_grouped,
 )
-from epinetopt.errors import ParameterError
+from epinetopt.errors import NumericalFailureError, ParameterError
 from epinetopt.grouping import amass_control_groups, grouped_stats, partition_equal_mass
 from epinetopt.network import DegreeDistribution, power_law_distribution
 from epinetopt.optimizer import (
     OptimizationProblem,
+    SweepPoint,
     improvement_percent,
     objective_and_gradient,
     optimize,
@@ -261,16 +262,76 @@ class TestOptimize:
             )
 
 
+def variant(name, value):
+    """SMALL with ``name`` (beta, b or c) set to ``value``."""
+    if name == "beta":
+        return replace(SMALL, params=replace(DEFAULTS, beta=value))
+    return replace(SMALL, cost=replace(SMALL.cost, **{name: value}))
+
+
+def row_alone(name, value):
+    """The sweep row of one value, computed one solve and one simulation at a time."""
+    prob = variant(name, value)
+    res = optimize(prob)
+    const, none = (
+        evaluate_cost(simulate_grouped(SMALL_GD, SMALL_CG, sched, prob.params, SMALL_GRID),
+                      sched, SMALL_CG, prob.cost)
+        for sched in (constant_strategy(prob.params, SMALL_GRID, 3), zero_strategy(SMALL_GRID, 3))
+    )
+    return SweepPoint(
+        value, res.J, const.J, none.J,
+        improvement_percent(const.J, res.J), improvement_percent(none.J, res.J),
+        res.breakdown.infection_term, const.infection_term, none.infection_term,
+        res.converged,
+    )
+
+
 class TestSweep:
     def test_single_point_matches_optimize(self):
         rows = sweep(SMALL, "b", [0.25])
         res = optimize(SMALL)
-        npt.assert_allclose(rows[0].J_optimal, res.J, rtol=1e-9)
+        assert rows[0].J_optimal == res.J
         const = constant_strategy(DEFAULTS, SMALL_GRID, 3)
         traj_c = simulate_grouped(SMALL_GD, SMALL_CG, const, DEFAULTS, SMALL_GRID)
-        npt.assert_allclose(
-            rows[0].J_constant, evaluate_cost(traj_c, const, SMALL_CG, SMALL.cost).J, rtol=1e-12
-        )
+        assert rows[0].J_constant == evaluate_cost(traj_c, const, SMALL_CG, SMALL.cost).J
+
+    @pytest.mark.parametrize("name, values", [("b", [0.25, 0.5, 1.0]), ("beta", [0.3, 0.5, 0.8])])
+    def test_rows_equal_solves_one_at_a_time(self, name, values):
+        # points solved in lockstep keep the bits of their solves alone
+        for row, value in zip(sweep(SMALL, name, values), values):
+            assert row == row_alone(name, value)
+
+    @pytest.mark.parametrize("name", ["b", "beta"])
+    def test_row_does_not_depend_on_the_other_values(self, name):
+        values = [0.25, 0.5, 1.0] if name == "b" else [0.3, 0.5, 0.8]
+        rows = dict(zip(values, sweep(SMALL, name, values)))
+        for subset in (values[::-1], values[1:]):  # reordered, and one removed
+            assert sweep(SMALL, name, subset) == [rows[v] for v in subset]
+
+    @pytest.mark.parametrize("name", ["b", "beta"])
+    def test_each_schedule_simulated_once(self, name, monkeypatch):
+        integrate = epinetopt.optimizer._integrate
+        integrate_batch = epinetopt.optimizer._integrate_batch
+        sweeps = []  # (beta, per-group controls) of every forward sweep
+
+        def recording(gd, params, grid, u_z=None, v_z=None):
+            sweeps.append((params.beta, u_z.tobytes() + v_z.tobytes()))
+            return integrate(gd, params, grid, u_z, v_z)
+
+        def recording_batch(gd, assignment, params, grid, u, v):
+            for p, u_b, v_b in zip(params, u, v):
+                sweeps.append((p.beta, u_b[assignment].tobytes() + v_b[assignment].tobytes()))
+            return integrate_batch(gd, assignment, params, grid, u, v)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_integrate", recording)
+        monkeypatch.setattr(epinetopt.optimizer, "_integrate_batch", recording_batch)
+        values = [0.25, 0.5, 1.0] if name == "b" else [0.3, 0.5, 0.8]
+        rows = sweep(SMALL, name, values)
+        assert all(r.converged for r in rows)
+        assert len(set(sweeps)) == len(sweeps)
+        # a b sweep simulates each heuristic once, a beta sweep once per point
+        zeros = bytes(2 * 8 * SMALL_GRID.n_points * 8)
+        assert sum(key == zeros for _, key in sweeps) == (1 if name == "b" else len(values))
 
     def test_vaccination_cost_sweep_is_monotone(self):
         rows = sweep(SMALL, "b", [0.1, 0.5, 1.0])
@@ -294,3 +355,11 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None
         assert np.isnan(rows[1].J_optimal)
+
+    def test_failing_point_leaves_its_batch_unchanged(self):
+        # beta = 40 overflows in the first gradient, which it shares with beta = 0.5
+        rows = sweep(SMALL, "beta", [0.5, 40.0, 0.8])
+        assert [rows[0], rows[2]] == [row_alone("beta", 0.5), row_alone("beta", 0.8)]
+        with pytest.raises(NumericalFailureError) as failed:
+            optimize(variant("beta", 40.0))
+        assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_optimal)
