@@ -76,9 +76,13 @@ class CostParams:
 
     def __post_init__(self):
         if not (self.b >= 0 and np.isfinite(self.b)):
-            raise ParameterError(f"vaccination cost weight must be >= 0, got {self.b}", "b")
+            raise ParameterError(
+                f"vaccination cost weight must be finite and >= 0, got {self.b}", "b"
+            )
         if not (self.c >= 0 and np.isfinite(self.c)):
-            raise ParameterError(f"treatment cost weight must be >= 0, got {self.c}", "c")
+            raise ParameterError(
+                f"treatment cost weight must be finite and >= 0, got {self.c}", "c"
+            )
         if self.functional not in FUNCTIONALS:
             raise ParameterError(
                 f"cost functional must be one of {', '.join(FUNCTIONALS)}, got {self.functional!r}",
@@ -87,7 +91,9 @@ class CostParams:
         if not self.rate_max > 0:  # also rejects nan
             raise ParameterError(f"rate_max must be > 0, got {self.rate_max}", "rate_max")
         if (self.functional == "dose") != bool(np.isfinite(self.rate_max)):
-            raise ParameterError("the dose functional needs a finite rate_max, the rate functional none")
+            raise ParameterError(
+                "the dose functional needs a finite rate_max, the rate functional none", "rate_max"
+            )
 
 
 @dataclass(frozen=True)

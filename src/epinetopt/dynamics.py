@@ -103,9 +103,9 @@ class EpidemicParams:
 
     def __post_init__(self):
         if not (self.beta >= 0 and np.isfinite(self.beta)):
-            raise ParameterError(f"beta must be >= 0, got {self.beta}", "beta")
+            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}", "beta")
         if not (self.gamma >= 0 and np.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}", "gamma")
+            raise ParameterError(f"gamma must be finite and >= 0, got {self.gamma}", "gamma")
         if not 0 <= self.i0 < 1:
             raise ParameterError(f"i0 must lie in [0, 1), got {self.i0}", "i0")
         if not (self.duration > 0 and np.isfinite(self.duration)):
@@ -123,7 +123,7 @@ class TimeGrid:
         if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
             raise ParameterError(f"need at least 2 grid points, got {self.n_points}", "points")
         if not (self.duration > 0 and np.isfinite(self.duration)):
-            raise ParameterError(f"duration must be positive, got {self.duration}")
+            raise ParameterError(f"duration must be positive, got {self.duration}", "duration")
 
     @property
     def dt(self) -> float:

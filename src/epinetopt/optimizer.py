@@ -25,11 +25,18 @@ the one-system kernels. :func:`sweep` runs its points two at a time in
 lockstep: each round answers their forward requests by one batched
 forward sweep and their gradient requests by one batched reverse sweep.
 A batched sweep gives each row the bits it has alone, so every sweep row
-is the :func:`optimize` result at its point.
+is the :func:`optimize` result at its point. A sweep with points for
+more than one lockstep also spreads them over the usable CPUs: it forks
+a process per extra CPU that a share can keep busy, each runs its own
+lockstep on its share of the points, and the rows come back through
+pipes with the same bits.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,9 +75,9 @@ _MEMORY = 10  # curvature pairs kept by L-BFGS
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 50
 
-# Sweep points solved in lockstep. Each running solve holds ~1 MB at the
-# default size (its 10 L-BFGS pairs take 0.96 MB), and the benchmark's
-# peak-memory bound leaves room for two.
+# Sweep points solved in lockstep in each process of a sweep. Each running
+# solve holds ~1 MB at the default size (its 10 L-BFGS pairs take 0.96 MB),
+# and the benchmark's peak-memory bound leaves room for two per process.
 _WIDTH = 2
 
 
@@ -133,9 +140,14 @@ def _forward(problem, u, v, traj=None):
     """
     schedule = ControlSchedule(u, v, problem.grid)
     if traj is None:
-        a = problem.cg.assignment
-        traj = _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
+        traj = _simulate(problem, u, v)
     return _priced(problem, schedule, traj)
+
+
+def _simulate(problem, u, v):
+    """The trajectory of the schedule (u, v): one forward sweep."""
+    a = problem.cg.assignment
+    return _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
 
 
 def _forward_batch(problems, requests):
@@ -392,6 +404,12 @@ class SweepPoint:
     converged: bool = False
     error: str | None = None
 
+    def __getstate__(self):
+        # A pickled row leaves out its fields still at np.nan, which it reads
+        # from the class defaults again when unpickled: NaN equals only
+        # itself, and rows compare equal field by field.
+        return {name: v for name, v in vars(self).items() if v is not np.nan}
+
 
 def improvement_percent(j_reference: float, j_optimal: float) -> float:
     """Relative objective reduction (percent) against a reference strategy; NaN if J_ref = 0."""
@@ -408,47 +426,72 @@ def sweep(
     ``name`` selects the swept parameter: the spreading rate ``beta`` or
     one of the cost weights ``b``, ``c``. Every point is solved as
     :func:`optimize` solves it, under its fixed stop rule, and its row has
-    the bits of that solve whatever the other values: the points run
-    ``_WIDTH`` at a time in lockstep (:func:`_lockstep`). The heuristics
-    are simulated per point in a ``beta`` sweep, and once for a ``b`` or
-    ``c`` sweep, whose dynamics do not depend on the weight; they are
-    priced per point, and the constant one is the solve's first iterate.
-    Per-point failures are recorded in the returned row and the sweep
-    continues; a point whose problem cannot be built is never solved.
+    the bits of that solve whatever the other values and however many
+    processes share the sweep. The points are dealt round-robin to P
+    processes, P = min(usable CPUs, ceil(points / ``_WIDTH``))
+    (:func:`_processes`): this one and a child forked for each other share
+    (:func:`_share_out`). Each process runs its points ``_WIDTH`` at a time
+    in lockstep (:func:`_lockstep`). The children are reaped before ``sweep``
+    returns, so ``wait4`` on the whole command adds their CPU time to its
+    own and takes their peak RSS into its maximum. The heuristics are
+    simulated per point in a ``beta`` sweep, and once, before any fork, for
+    a ``b`` or ``c`` sweep, whose dynamics do not depend on the weight; they
+    are priced per point, and the constant one is the solve's first
+    iterate. Per-point failures are recorded in the returned row and the
+    sweep continues; a point whose problem cannot be built is never solved.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
     values = [float(value) for value in values]
+    shared = [None, None]  # a b or c sweep's heuristic trajectories
+    if name != "beta":
+        for h, schedule in enumerate(_heuristics(problem)):
+            try:
+                shared[h] = fp_checked(_simulate)(problem, schedule.u, schedule.v)
+            except (NumericalFailureError, ParameterError):
+                pass  # each point simulates it again and records the error
+    n = _processes(len(values))
+    shares = _share_out(lambda share: _rows(problem, name, values, shared, share),
+                        [range(p, len(values), n) for p in range(n)])
+    return [shares[k % n][k // n] for k in range(len(values))]
+
+
+def _heuristics(problem):
+    """The constant beta/2, gamma/2 and the no-control schedules of ``problem``."""
+    m = problem.cg.n_control
+    return constant_strategy(problem.params, problem.grid, m), zero_strategy(problem.grid, m)
+
+
+def _rows(problem, name, values, shared, share):
+    """The :func:`sweep` rows of the points ``share`` (indices into
+    ``values``), solved in this process; ``shared`` holds the heuristic
+    trajectories that every point uses, or None where each simulates its own."""
     failures = (NumericalFailureError, ParameterError)
     heuristics = {}  # per point: the constant and no-control breakdowns, or errors
-    shared = [None, None]  # a b or c sweep's heuristic trajectories
 
-    def point(k, value):
+    def point(k):
         """Point k's problem and its heuristics' first-iterate evaluation, or None."""
         try:
             if name == "beta":
-                variant = replace(problem, params=replace(problem.params, beta=value))
+                variant = replace(problem, params=replace(problem.params, beta=values[k]))
             else:
-                variant = replace(problem, cost=replace(problem.cost, **{name: value}))
+                variant = replace(problem, cost=replace(problem.cost, **{name: values[k]}))
         except failures as exc:
             heuristics[k] = (exc,)
             return None
-        m, found = variant.cg.n_control, []
-        for h, schedule in enumerate((constant_strategy(variant.params, variant.grid, m),
-                                      zero_strategy(variant.grid, m))):
+        found = []
+        for schedule, traj in zip(_heuristics(variant), shared):
             try:
-                found.append(_forward(variant, schedule.u, schedule.v, shared[h]))
+                found.append(_forward(variant, schedule.u, schedule.v, traj))
             except failures as exc:
                 found.append(exc)
-            else:
-                if name != "beta":
-                    shared[h] = found[h][1]
         heuristics[k] = [e if isinstance(e, Exception) else e[2] for e in found]
         return k, variant, None if isinstance(found[0], Exception) else found[0]
 
-    solved = _lockstep(filter(None, map(point, range(len(values)), values)))
+    solved = _lockstep(filter(None, map(point, share)))
     rows = []
-    for k, value in enumerate(values):
+    for k in share:
+        value = values[k]
         outcomes = (solved.get(k), *heuristics[k])
         error = next((e for e in outcomes if isinstance(e, Exception)), None)
         if error is not None:
@@ -470,6 +513,93 @@ def sweep(
             )
         )
     return rows
+
+
+def _processes(n_points):
+    """How many processes share a sweep of ``n_points``: one per usable CPU,
+    but only as many as fill a lockstep of ``_WIDTH`` points each, and one
+    where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, -(-n_points // _WIDTH)))
+
+
+def _share_out(solve, shares):
+    """``[solve(share) for share in shares]``, the first share solved in this
+    process while a forked child solves each other one.
+
+    A child pickles its answer into a pipe, which this process reads to its
+    end before it reaps the child. A share whose child cannot be forked,
+    exits abnormally or sends a truncated answer is solved here instead. On
+    an exception the children still running are killed; every child is
+    reaped on every path.
+    """
+    children = []  # [share, pid, read end of its pipe]; pid None once reaped
+    try:
+        for share in shares[1:]:
+            children.append([share, *_fork(solve, share)])
+        answers = [solve(shares[0])]
+        for child in children:
+            share, pid, read = child
+            answer = None
+            if pid is not None:
+                chunks = []
+                while chunk := os.read(read, 1 << 16):
+                    chunks.append(chunk)
+                _, status = os.waitpid(pid, 0)
+                child[1:] = None, None
+                os.close(read)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    try:
+                        answer = pickle.loads(b"".join(chunks))
+                    except (EOFError, pickle.UnpicklingError):
+                        pass
+            answers.append(solve(share) if answer is None else answer)
+        return answers
+    finally:
+        for _, pid, read in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+
+
+def _fork(solve, share):
+    """Fork a child that pickles ``solve(share)`` into a pipe and exits; return
+    its pid and the pipe's read end, or ``(None, None)`` if it cannot be forked.
+
+    The child leaves through ``os._exit`` on every path, so it never returns
+    into its caller, flushes the stdio buffers it inherited or runs exit
+    handlers. Forking a process that has threads is safe here: the only ones
+    are OpenBLAS's pool, which OpenBLAS stops before a fork (pthread_atfork)
+    and the child starts afresh if it needs it. Python 3.12 and later still
+    warn (``DeprecationWarning``) when a process with threads forks.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(solve(share), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
 
 
 @fp_checked

@@ -1,5 +1,7 @@
 """Tests for schedules, the cost functional, baselines, and allocations."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -42,15 +44,25 @@ class TestTypes:
         with pytest.raises(ParameterError):
             CostParams(0.25, float("nan"))
 
+    @pytest.mark.parametrize("field, weight", [("b", "vaccination"), ("c", "treatment")])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weight_is_named_as_such(self, field, weight, value):
+        with pytest.raises(ParameterError) as info:
+            replace(CostParams(0.25, 0.5), **{field: value})
+        assert info.value.field == field
+        assert str(info.value) == f"{weight} cost weight must be finite and >= 0, got {value}"
+
     def test_functional_and_bound_validation(self):
         default = CostParams(0.25, 0.5)
         assert (default.functional, default.rate_max) == ("rate", np.inf)
         with pytest.raises(ParameterError):
             CostParams(0.25, 0.5, functional="linear")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as info:
             CostParams(0.25, 0.5, functional="dose")  # unbounded dose is ill posed
-        with pytest.raises(ParameterError):
+        assert info.value.field == "rate_max"
+        with pytest.raises(ParameterError) as info:
             CostParams(0.25, 0.5, rate_max=1.0)  # the rate functional takes no bound
+        assert info.value.field == "rate_max"
         for bound in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError):
                 CostParams(0.25, 0.5, "dose", rate_max=bound)

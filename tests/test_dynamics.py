@@ -85,11 +85,20 @@ class TestValidation:
         with pytest.raises(ParameterError):
             EpidemicParams(0.5, 0.25, 0.01, 0.0)
 
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rate_is_named_as_such(self, field, value):
+        with pytest.raises(ParameterError) as info:
+            replace(DEFAULTS, **{field: value})
+        assert info.value.field == field
+        assert str(info.value) == f"{field} must be finite and >= 0, got {value}"
+
     def test_grid(self):
         with pytest.raises(ParameterError):
             TimeGrid(1, 20.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as info:
             TimeGrid(100, -1.0)
+        assert info.value.field == "duration"
         with pytest.raises(ParameterError) as info:
             TimeGrid(2.5, 1.0)  # not a point count
         assert info.value.field == "points"

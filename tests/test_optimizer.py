@@ -1,5 +1,8 @@
 """Tests for the schedule optimizer: objective/gradient, solver, sweeps."""
 
+import hashlib
+import os
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -286,6 +289,16 @@ def row_alone(name, value):
     )
 
 
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def sweep_in(processes, monkeypatch, name, values):
+    """``sweep(SMALL, name, values)`` shared by ``processes`` processes."""
+    monkeypatch.setattr(epinetopt.optimizer, "_processes", lambda n_points: processes)
+    return sweep(SMALL, name, values)
+
+
 class TestSweep:
     def test_single_point_matches_optimize(self):
         rows = sweep(SMALL, "b", [0.25])
@@ -309,29 +322,40 @@ class TestSweep:
             assert sweep(SMALL, name, subset) == [rows[v] for v in subset]
 
     @pytest.mark.parametrize("name", ["b", "beta"])
-    def test_each_schedule_simulated_once(self, name, monkeypatch):
+    def test_each_schedule_simulated_once(self, name, monkeypatch, tmp_path):
         integrate = epinetopt.optimizer._integrate
         integrate_batch = epinetopt.optimizer._integrate_batch
-        sweeps = []  # (beta, per-group controls) of every forward sweep
+        log = None  # the file of the sweep running
+
+        def record(beta, u_z, v_z):
+            # (beta, digest of the per-group controls) of a forward sweep, one
+            # line each, appended by every process of the sweep
+            with open(log, "a") as out:
+                out.write(f"{beta!r} {digest(u_z.tobytes() + v_z.tobytes())}\n")
 
         def recording(gd, params, grid, u_z=None, v_z=None):
-            sweeps.append((params.beta, u_z.tobytes() + v_z.tobytes()))
+            record(params.beta, u_z, v_z)
             return integrate(gd, params, grid, u_z, v_z)
 
         def recording_batch(gd, assignment, params, grid, u, v):
             for p, u_b, v_b in zip(params, u, v):
-                sweeps.append((p.beta, u_b[assignment].tobytes() + v_b[assignment].tobytes()))
+                record(p.beta, u_b[assignment], v_b[assignment])
             return integrate_batch(gd, assignment, params, grid, u, v)
 
         monkeypatch.setattr(epinetopt.optimizer, "_integrate", recording)
         monkeypatch.setattr(epinetopt.optimizer, "_integrate_batch", recording_batch)
         values = [0.25, 0.5, 1.0] if name == "b" else [0.3, 0.5, 0.8]
-        rows = sweep(SMALL, name, values)
-        assert all(r.converged for r in rows)
-        assert len(set(sweeps)) == len(sweeps)
-        # a b sweep simulates each heuristic once, a beta sweep once per point
-        zeros = bytes(2 * 8 * SMALL_GRID.n_points * 8)
-        assert sum(key == zeros for _, key in sweeps) == (1 if name == "b" else len(values))
+        zeros = digest(bytes(2 * 8 * SMALL_GRID.n_points * 8))
+        for processes in (1, 2):
+            log = tmp_path / f"sweeps-{processes}.txt"
+            rows = sweep_in(processes, monkeypatch, name, values)
+            assert all(r.converged for r in rows)
+            sweeps = log.read_text().splitlines()
+            assert len(set(sweeps)) == len(sweeps)
+            # a b sweep simulates each heuristic once, a beta sweep once per point
+            assert sum(line.endswith(zeros) for line in sweeps) == (
+                1 if name == "b" else len(values)
+            )
 
     def test_vaccination_cost_sweep_is_monotone(self):
         rows = sweep(SMALL, "b", [0.1, 0.5, 1.0])
@@ -363,3 +387,81 @@ class TestSweep:
         with pytest.raises(NumericalFailureError) as failed:
             optimize(variant("beta", 40.0))
         assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_optimal)
+
+
+class TestSweepProcesses:
+    @pytest.mark.parametrize("cpus, n_points, expected", [
+        (2, 0, 1), (2, 2, 1), (2, 3, 2), (2, 4, 2), (2, 9, 2), (1, 4, 1), (8, 5, 3), (8, 40, 8),
+    ])
+    def test_one_process_per_cpu_that_fills_a_lockstep(self, cpus, n_points, expected,
+                                                       monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert epinetopt.optimizer._processes(n_points) == expected
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert epinetopt.optimizer._processes(n_points) == expected
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert epinetopt.optimizer._processes(n_points) == 1
+
+    @pytest.mark.parametrize("name, values", [
+        ("b", [0.25, 0.5, 1.0]),
+        ("beta", [0.3, 0.5, 0.8]),
+        ("beta", [0.5, 40.0, 0.8]),  # beta = 40 overflows
+        ("beta", [0.5, -1.0, 0.8]),  # beta = -1 has no problem to solve
+    ])
+    def test_rows_do_not_depend_on_the_process_count(self, name, values, monkeypatch):
+        one, two = (sweep_in(processes, monkeypatch, name, values) for processes in (1, 2))
+        assert two == one
+        if values[1] == 40.0:
+            with pytest.raises(NumericalFailureError) as failed:
+                optimize(variant("beta", 40.0))
+            assert two[1].error == str(failed.value)
+        if values[1] == -1.0:
+            assert two[1].error == "beta must be finite and >= 0, got -1.0"
+
+    @pytest.mark.parametrize("fault", [None, "child exits", "fork fails", "truncated answer"])
+    def test_no_child_is_left_and_every_fallback_gives_the_same_rows(self, fault, monkeypatch):
+        values = [0.3, 0.5, 0.8]
+        expected = sweep_in(1, monkeypatch, "beta", values)
+        parent = os.getpid()
+        lockstep, dumps = epinetopt.optimizer._lockstep, pickle.dumps
+
+        def dying(jobs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return lockstep(jobs)
+
+        def no_fork():
+            raise OSError("fork failed")
+
+        if fault == "child exits":
+            monkeypatch.setattr(epinetopt.optimizer, "_lockstep", dying)
+        elif fault == "fork fails":
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif fault == "truncated answer":
+            monkeypatch.setattr(pickle, "dump", lambda answer, out: out.write(dumps(answer)[:-9]))
+        assert sweep_in(2, monkeypatch, "beta", values) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_are_killed_and_reaped_when_the_sweep_raises(self, monkeypatch):
+        parent = os.getpid()
+        lockstep = epinetopt.optimizer._lockstep
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(jobs):
+            if os.getpid() == parent:
+                raise Interrupted
+            return lockstep(jobs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_lockstep", interrupted)
+        with pytest.raises(Interrupted):
+            sweep_in(3, monkeypatch, "beta", [0.3, 0.5, 0.8])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pickled_row_compares_equal(self):
+        for row in (SweepPoint(0.5, error="failed"), row_alone("b", 0.25)):
+            assert pickle.loads(pickle.dumps(row)) == row
