@@ -11,7 +11,7 @@ with every default filled in — is saved next to the results so any run
 can be reproduced from its own output directory.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O or ingestion error.
+3 I/O or ingestion error; 143 when ended by SIGTERM.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import os
+import signal
 import sys
 from configparser import ConfigParser
 from configparser import Error as _IniError
@@ -579,7 +580,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A SIGTERM while it runs raises ``SystemExit(143)``, so the forked
+    children of ``sweep`` and ``group-error`` are killed and reaped on the
+    way out, and the shell still sees 143.
+    """
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

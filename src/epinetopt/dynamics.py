@@ -14,7 +14,8 @@ that a random edge end is infected), computed once per stage. The
 per-group recovered fraction is algebraic because the flows preserve
 s + i + r exactly. One Heun loop, with one right-hand side and one clamp
 rule, performs every forward sweep, of one system or of a batch of
-independent systems.
+independent systems. An uncontrolled sweep passes no controls, and its
+flows leave out the control terms instead of multiplying by zero.
 
 A :class:`ControlSchedule` holds the M vaccination and treatment signals
 u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and that
@@ -33,6 +34,16 @@ aggregates, and a row's result does not depend on the rest of the batch.
 The rows advance in fixed-size blocks, so memory stays bounded however
 many Z are asked for. A row that leaves [0, 1] (a clamp event) makes the
 comparison fail instead of reporting errors of clipped trajectories.
+
+Independent jobs are shared out to forked processes here, for
+`grouping_error` and for the optimizer's sweeps: :func:`_share_out` runs
+the first share in the calling process and forks a child for each other
+one (:func:`_fork`), which pickles its answer into a pipe. A share whose
+child cannot be forked, fails or sends a truncated answer runs in the
+calling process instead, and every child is reaped on every path. The
+number of processes comes from the usable CPUs (:func:`_cpus`).
+`grouping_error` cuts its rows into contiguous shares, each integrated
+beside its own reference row, so every error keeps its bits.
 
 The optimizer's gradient comes from the reverse (discrete-adjoint) sweep
 of the same Heun steps, which lives here beside the forward sweep: it
@@ -54,6 +65,9 @@ a per-row dot product of the shapes the single system uses.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +101,12 @@ _CLAMP_TOL = 1e-12
 # grouping_error advances its rows in blocks holding at most this many
 # entries of per-group state and stored aggregates (2 MB per array).
 _BLOCK_ENTRIES = 1 << 18
+
+# grouping_error gives each process a share of at least this many entries of
+# per-group state (rows x width), which pays for the fork and the pickled
+# answer. On 2 CPUs at W = 100 and N = 1001, two processes lost to one below
+# ~3000 entries in all, were about even up to ~5000 and won from ~6000.
+_SHARE_ENTRIES = 3000
 
 # The reverse sweep computes its coefficients for this many steps at a time.
 _REVERSE_CHUNK = 64
@@ -209,9 +229,13 @@ def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
     (Z,) vectors. A batch of B systems passes ``q_hat`` as (B, 1, W) rows
     and the per-group arrays as (B, W, 1) columns, so ``q_hat @ i`` is
     each system's Theta, (B, 1, 1), by the same dot. The controls ``u``,
-    ``v`` are per-group arrays or, uncontrolled, the float 0.0.
+    ``v`` are per-group arrays, or None for an uncontrolled system, whose
+    flows then leave out the control terms: x - 0.0 is x, so the bits are
+    those of zero controls.
     """
     infect = (beta * (q_hat @ i)) * (k_hat * s)
+    if u is None:
+        return -infect, infect - gamma * i
     return -infect - u * s, infect - gamma * i - v * i
 
 
@@ -239,10 +263,13 @@ def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
     gives ``beta`` per row, as (B, 1, 1). ``xs`` stores T stacked (s, i)
     states: the state at grid node n is written to ``xs[n % T]``, so a
     (N, 2, ...) store keeps every node and a one-entry store is advanced in
-    place. ``u[n]``, ``v[n]`` are the controls at node n. Yields
-    :func:`_clip`'s result after each step.
+    place. ``u[n]``, ``v[n]`` are the controls at node n, and ``u`` and
+    ``v`` are None for an uncontrolled system. Yields :func:`_clip`'s result
+    after each step.
     """
     dt, half, t = grid.dt, 0.5 * grid.dt, len(xs)
+    if u is None:
+        u = v = [None] * grid.n_points
     sn, inn = xs[0]
     for step in range(1, grid.n_points):
         ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u[step - 1], v[step - 1])
@@ -254,18 +281,17 @@ def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
-    """Run one system through :func:`_heun`; ``u_z``/``v_z`` are per-group controls, (Z, N).
+    """Run one system through :func:`_heun`; ``u_z``/``v_z`` are per-group
+    controls, (Z, N), or None for an uncontrolled system.
 
     Each step writes the stacked (s, i), one (2, Z) block, into a time-major
     store. A non-finite state raises :class:`NumericalFailureError`.
     """
-    n, z = grid.n_points, gd.n_groups
-    if u_z is None:
-        u_z = v_z = np.zeros((z, n))
-    x = np.empty((n, 2, z))  # x[step] = (s, i) at grid node step
+    x = np.empty((grid.n_points, 2, gd.n_groups))  # x[step] = (s, i) at grid node step
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
+    u, v = (None, None) if u_z is None else (u_z.T, v_z.T)
     clamp_events = 0
-    for outside in _heun(gd.k_hat, gd.q_hat, x, u_z.T, v_z.T, params.beta, params.gamma, grid):
+    for outside in _heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid):
         clamp_events += outside is not None
     return _trajectory(gd, grid, x, clamp_events)
 
@@ -522,16 +548,24 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
 
     Integrates the uncontrolled reference (full) model and the grouped
     model of each Z in ``group_counts`` from identical initial conditions,
-    as the rows of zero-padded batches (see :func:`_rhs`). The first row is
-    the reference, the partition at Z = number of classes, whose width W
-    is one group per positive-mass degree class; the row of a Z holds
-    ``grouped_stats(dist, partition_equal_mass(dist, Z))``; one warning
-    lists every Z whose groups had to be merged. A padded group has zero
-    degree, edge-end weight, mass and state, so it adds nothing to Theta or
-    to the aggregates. The rows advance in blocks of at most
-    ``_BLOCK_ENTRIES`` entries of state and stored aggregates, so memory
-    does not grow with the number of rows. W is fixed by ``dist``, so the
-    error of a Z does not depend on the other rows or on the blocking.
+    as the rows of zero-padded batches (see :func:`_rhs`). The reference is
+    the partition at Z = number of classes, whose width W is one group per
+    positive-mass degree class; the row of a Z holds
+    ``grouped_stats(dist, partition_equal_mass(dist, Z))``. Every partition
+    is made here, before any fork, so one warning lists every Z whose
+    groups had to be merged. A padded group has zero degree, edge-end
+    weight, mass and state, so it adds nothing to Theta or to the
+    aggregates. W is fixed by ``dist``, so the error of a Z does not depend
+    on the other rows, on the blocking or on the process count.
+
+    The requested Z are cut into P contiguous shares, P = min(usable CPUs,
+    floor(rows * W / ``_SHARE_ENTRIES``)) and at least 1
+    (:func:`_error_processes`). This process runs the first share and a
+    forked child each other one (:func:`_share_out`); a share that cannot
+    be run in a child is run here instead. Each share is integrated by
+    :func:`_errors` with the reference as its first row, in blocks of at
+    most ``_BLOCK_ENTRIES`` entries of state and stored aggregates, so
+    memory does not grow with the number of rows.
 
     Returns one error per requested Z: the relative L2 error of the stacked
     aggregate trajectories (s, i, r) sampled on the grid,
@@ -540,33 +574,54 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
 
     Raises :class:`NumericalFailureError`, naming the first row concerned,
     if a state turns non-finite or if a row has a clamp event: a clipped
-    trajectory would make the error meaningless. ``grid`` must span
-    ``params.duration`` (:func:`_check_model`).
+    trajectory would make the error meaningless. The shares are checked in
+    order, and a share that failed in its child is run again here to raise
+    its error. ``grid`` must span ``params.duration`` (:func:`_check_model`).
     """
     _check_model(params, grid)
-    group_counts = list(group_counts)  # read three times below
-    reference = _partition_equal_mass(dist, dist.n_classes)  # the full model
-    groupings = [reference, *_equal_mass_partitions(dist, group_counts)]
-    names = ["the reference model", *(f"z={z}" for z in group_counts)]
-    n, width = grid.n_points, reference.n_groups
+    group_counts = list(group_counts)  # read twice below
+    reference = ("the reference model", _partition_equal_mass(dist, dist.n_classes))
+    rows = list(zip((f"z={z}" for z in group_counts), _equal_mass_partitions(dist, group_counts)))
+    n = _error_processes(len(rows), reference[1].n_groups)
+    cuts = [len(rows) * p // n for p in range(n + 1)]
+    shares = _share_out(lambda share: _errors(dist, [reference, *share], params, grid),
+                        [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    return [error for share in shares for error in share]
+
+
+def _error_processes(n_rows, width):
+    """How many processes share :func:`grouping_error`'s ``n_rows`` rows of
+    ``width`` groups: one per usable CPU, but only as many as get
+    ``_SHARE_ENTRIES`` entries each."""
+    return max(1, min(_cpus(), n_rows * width // _SHARE_ENTRIES))
+
+
+def _errors(dist, rows, params, grid):
+    """The :func:`grouping_error` errors of the ``(name, grouping)`` rows
+    ``rows`` after the first, the reference, against the first.
+
+    The rows run uncontrolled through :func:`_heun` in zero-padded blocks
+    of at most ``_BLOCK_ENTRIES`` entries; a block that turns non-finite or
+    clamps raises, naming its first row concerned.
+    """
+    n, width = grid.n_points, rows[0][1].n_groups
     per_block = max(1, _BLOCK_ENTRIES // (width + 2 * n))
-    zeros = [0.0] * n  # uncontrolled; plain floats run faster here than zero arrays
     full, errors = None, []
-    for start in range(0, len(groupings), per_block):
-        block = groupings[start:start + per_block]
-        rows = len(block)
-        p, q = np.zeros((rows, 1, width)), np.zeros((rows, 1, width))
-        k, x = np.zeros((rows, width, 1)), np.zeros((1, 2, rows, width, 1))
+    for start in range(0, len(rows), per_block):
+        names, block = zip(*rows[start:start + per_block])
+        count = len(block)
+        p, q = np.zeros((count, 1, width)), np.zeros((count, 1, width))
+        k, x = np.zeros((count, width, 1)), np.zeros((1, 2, count, width, 1))
         s, i = x[0]  # views, advanced in place
         for row, grouping in enumerate(block):
             gd = grouped_stats(dist, grouping)
             z = gd.n_groups
             p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
             s[row, :z], i[row, :z] = 1.0 - params.i0, params.i0
-        s_agg, i_agg = np.empty((rows, n)), np.empty((rows, n))
+        s_agg, i_agg = np.empty((count, n)), np.empty((count, n))
         s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
-        clamps = np.zeros(rows, dtype=int)
-        steps = _heun(k, q, x, zeros, zeros, params.beta, params.gamma, grid)
+        clamps = np.zeros(count, dtype=int)
+        steps = _heun(k, q, x, None, None, params.beta, params.gamma, grid)
         for step, outside in enumerate(steps, 1):
             if outside is not None:
                 clamps += outside.any(axis=(0, 2, 3))
@@ -574,13 +629,11 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
         bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
         if bad.any():
             row, step = np.argwhere(bad)[0]
-            raise NumericalFailureError(
-                f"non-finite state of {names[start + row]} at grid step {step}"
-            )
+            raise NumericalFailureError(f"non-finite state of {names[row]} at grid step {step}")
         if clamps.any():
             row = int(np.argmax(clamps > 0))
             raise NumericalFailureError(
-                f"{names[start + row]} left [0, 1] in {clamps[row]} steps (clamp events); "
+                f"{names[row]} left [0, 1] in {clamps[row]} steps (clamp events); "
                 "the time grid is too coarse"
             )
         if full is None:
@@ -593,6 +646,109 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
                 den += np.sum(b**2)
             errors.append(float(np.sqrt(num / den)))
     return errors
+
+
+def _cpus():
+    """The CPUs this process may use, or 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no CPU affinity
+        return os.cpu_count() or 1
+
+
+def _share_out(solve, shares):
+    """``[solve(share) for share in shares]``, the first share solved in this
+    process while a forked child solves each other one.
+
+    A child pickles its answer into a pipe, which this process reads to its
+    end before it reaps the child. A share whose child cannot be forked,
+    exits abnormally or sends a truncated answer is solved here instead. On
+    an exception the children still running are killed; every child is
+    reaped on every path.
+    """
+    children = []  # [share, pid, read end of its pipe]; pid None once reaped
+    try:
+        for share in shares[1:]:
+            children.append([share, *_fork(solve, share)])
+        answers = [solve(shares[0])]
+        for child in children:
+            share, pid, read = child
+            answer = None
+            if pid is not None:
+                chunks = []
+                while chunk := os.read(read, 1 << 16):
+                    chunks.append(chunk)
+                _, status = os.waitpid(pid, 0)
+                child[1:] = None, None
+                os.close(read)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    try:
+                        answer = pickle.loads(b"".join(chunks))
+                    except (EOFError, pickle.UnpicklingError):
+                        pass
+            answers.append(solve(share) if answer is None else answer)
+        return answers
+    finally:
+        for _, pid, read in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+
+
+def _fork(solve, share):
+    """Fork a child that pickles ``solve(share)`` into a pipe and exits; return
+    its pid and the pipe's read end, or ``(None, None)`` if it cannot be forked.
+
+    The child leaves through ``os._exit`` on every path, so it never returns
+    into its caller, flushes the stdio buffers it inherited or runs exit
+    handlers. It cannot outlive this process: on Linux it asks the kernel
+    to SIGKILL it when this process dies, and it exits at once if that
+    happened before the request. Forking a process that has threads is safe
+    here: the only ones are OpenBLAS's pool, which OpenBLAS stops before a
+    fork (pthread_atfork) and the child starts afresh if it needs it.
+    Python 3.12 and later still warn (``DeprecationWarning``) when a process
+    with threads forks.
+    """
+    parent = os.getpid()
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            _die_with_parent()
+            if os.getppid() == parent:  # else the parent died before the request
+                os.close(read)
+                with os.fdopen(write, "wb") as pipe:
+                    pickle.dump(solve(share), pipe)
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _die_with_parent():
+    """Ask the kernel to SIGKILL this process when its parent dies:
+    ``prctl(PR_SET_PDEATHSIG, SIGKILL)``, where the C library has it (Linux)."""
+    try:
+        import ctypes  # loaded in forked children only
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    except (ImportError, OSError, AttributeError):
+        pass  # no prctl here
 
 
 def cumulative_infected(traj: Trajectory) -> float:

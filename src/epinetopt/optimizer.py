@@ -29,14 +29,13 @@ is the :func:`optimize` result at its point. A sweep with points for
 more than one lockstep also spreads them over the usable CPUs: it forks
 a process per extra CPU that a share can keep busy, each runs its own
 lockstep on its share of the points, and the rows come back through
-pipes with the same bits.
+pipes with the same bits. The fork helpers, which
+:func:`~epinetopt.dynamics.grouping_error` uses too, live in
+:mod:`~epinetopt.dynamics`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +49,7 @@ from .control import (
     zero_strategy,
 )
 from .dynamics import ControlSchedule, EpidemicParams, TimeGrid, Trajectory
-from .dynamics import _check_model, _integrate, _integrate_batch, _reverse
+from .dynamics import _check_model, _cpus, _integrate, _integrate_batch, _reverse, _share_out
 from .errors import NumericalFailureError, ParameterError, fp_checked
 from .grouping import ControlGroups, GroupedDistribution
 
@@ -518,88 +517,8 @@ def _rows(problem, name, values, shared, share):
 def _processes(n_points):
     """How many processes share a sweep of ``n_points``: one per usable CPU,
     but only as many as fill a lockstep of ``_WIDTH`` points each, and one
-    where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # the platform has no CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, -(-n_points // _WIDTH)))
-
-
-def _share_out(solve, shares):
-    """``[solve(share) for share in shares]``, the first share solved in this
-    process while a forked child solves each other one.
-
-    A child pickles its answer into a pipe, which this process reads to its
-    end before it reaps the child. A share whose child cannot be forked,
-    exits abnormally or sends a truncated answer is solved here instead. On
-    an exception the children still running are killed; every child is
-    reaped on every path.
-    """
-    children = []  # [share, pid, read end of its pipe]; pid None once reaped
-    try:
-        for share in shares[1:]:
-            children.append([share, *_fork(solve, share)])
-        answers = [solve(shares[0])]
-        for child in children:
-            share, pid, read = child
-            answer = None
-            if pid is not None:
-                chunks = []
-                while chunk := os.read(read, 1 << 16):
-                    chunks.append(chunk)
-                _, status = os.waitpid(pid, 0)
-                child[1:] = None, None
-                os.close(read)
-                if os.waitstatus_to_exitcode(status) == 0:
-                    try:
-                        answer = pickle.loads(b"".join(chunks))
-                    except (EOFError, pickle.UnpicklingError):
-                        pass
-            answers.append(solve(share) if answer is None else answer)
-        return answers
-    finally:
-        for _, pid, read in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read)
-
-
-def _fork(solve, share):
-    """Fork a child that pickles ``solve(share)`` into a pipe and exits; return
-    its pid and the pipe's read end, or ``(None, None)`` if it cannot be forked.
-
-    The child leaves through ``os._exit`` on every path, so it never returns
-    into its caller, flushes the stdio buffers it inherited or runs exit
-    handlers. Forking a process that has threads is safe here: the only ones
-    are OpenBLAS's pool, which OpenBLAS stops before a fork (pthread_atfork)
-    and the child starts afresh if it needs it. Python 3.12 and later still
-    warn (``DeprecationWarning``) when a process with threads forks.
-    """
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None, None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None, None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(solve(share), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
+    where the platform cannot fork (:func:`~epinetopt.dynamics._cpus`)."""
+    return max(1, min(_cpus(), -(-n_points // _WIDTH)))
 
 
 @fp_checked

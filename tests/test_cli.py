@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line experiment runner."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epinetopt import cli
+from epinetopt import cli, dynamics
 from epinetopt.cli import ExperimentConfig, main, write_history_csv
 from epinetopt.errors import ConfigError
 from epinetopt.network import read_distribution
@@ -534,3 +539,52 @@ class TestExitCodes:
         listed = capsys.readouterr().out.split()
         for command in ("simulate", "optimize", "compare", "group-error", "sweep", "ingest"):
             assert command in listed
+
+
+def gone_or_zombie(pid):
+    """Whether process ``pid`` has exited: it is gone, or a zombie not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestKilledRun:
+    """A forking command's children do not outlive it, however it is ended."""
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs /proc/<pid>/task/<pid>/children")
+    @pytest.mark.skipif(dynamics._cpus() < 2, reason="needs two usable CPUs to fork")
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--parameter", "b", "--values", "0.1,0.25,0.5,1"],
+        ["group-error", "--z-min", "1", "--z-max", "100"],
+    ], ids=["sweep", "group-error"])
+    def test_children_end_with_the_run(self, command, sig, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epinetopt.cli", *command,
+             "-c", str(root / "bench" / "experiment.ini"), "--output", str(tmp_path / "out")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        # signal the run as soon as it has forked, ~0.3-0.5 s in
+        listing, children = f"/proc/{proc.pid}/task/{proc.pid}/children", []
+        try:
+            while not children and proc.poll() is None:
+                with open(listing) as found:
+                    children = found.read().split()
+                time.sleep(0.002)
+            proc.send_signal(sig)
+        finally:
+            code = proc.wait(timeout=60)
+        assert children, "the run ended without forking"
+        assert code == (143 if sig == signal.SIGTERM else -signal.SIGKILL)
+        # a child left running would finish its share 1-2 s later
+        deadline = time.monotonic() + 1.0
+        while not all(map(gone_or_zombie, children)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(map(gone_or_zombie, children))

@@ -4,6 +4,8 @@ Boundary positions and group statistics were frozen from an independent
 straight-loop implementation of the greedy rule plus exact summation.
 """
 
+import os
+import pickle
 import warnings
 
 import numpy as np
@@ -505,3 +507,181 @@ class TestGroupingError:
         assert grouping_error(dist, [3], DEFAULTS, GRID) == [0.0]
         gd = grouped_stats(dist, partition_equal_mass(dist, 3))
         npt.assert_allclose(simulate_grouped(gd, None, None, DEFAULTS, GRID).i, traj.i, atol=1e-12)
+
+
+def errors_in(processes, monkeypatch, dist, counts, grid=GRID):
+    """``grouping_error(dist, counts, DEFAULTS, grid)`` shared by ``processes`` processes."""
+    monkeypatch.setattr(dynamics, "_error_processes", lambda n_rows, width: processes)
+    return grouping_error(dist, counts, DEFAULTS, grid)
+
+
+def heun_with_zero_controls(k, q, s, i, grid):
+    """Uncontrolled Heun steps from the states ``s``, ``i`` that multiply by
+    explicit zero controls, one step at a time, and clip to [0, 1] after
+    each. ``k``, ``q`` and the states have the shapes the program uses: (Z,)
+    vectors for one system, (B, W, 1) columns and (B, 1, W) rows for a
+    padded batch. Returns the states at every node, (N, *shape) each, and
+    the steps in which each system's state left [0, 1] by more than 1e-12."""
+    beta, gamma, dt, half = DEFAULTS.beta, DEFAULTS.gamma, grid.dt, 0.5 * grid.dt
+    u = v = np.zeros(np.shape(s))
+    batch = np.ndim(s) == 3
+
+    def rhs(s, i):
+        infect = (beta * (q @ i)) * (k * s)
+        return -infect - u * s, infect - gamma * i - v * i
+
+    ss, ii, clamps = [s], [i], np.zeros(len(s) if batch else 1, dtype=int)
+    for _ in range(grid.n_points - 1):
+        ds0, di0 = rhs(s, i)
+        ds1, di1 = rhs(s + dt * ds0, i + dt * di0)
+        s, i = s + half * (ds0 + ds1), i + half * (di0 + di1)
+        outside = (s < -1e-12) | (s > 1 + 1e-12) | (i < -1e-12) | (i > 1 + 1e-12)
+        clamps += outside.reshape(len(clamps), -1).any(axis=1)
+        s, i = np.clip(s, 0.0, 1.0), np.clip(i, 0.0, 1.0)
+        ss.append(s)
+        ii.append(i)
+    return np.array(ss), np.array(ii), clamps
+
+
+class TestUncontrolledBits:
+    """An uncontrolled sweep leaves out the control terms: x - 0.0 is x, so its
+    bits are those of a loop that multiplies by zero controls."""
+
+    @pytest.mark.parametrize("n", [126, 201, 1001])
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_simulate_full(self, dist, n):
+        grid = TimeGrid(n, 20.0)
+        gd = grouped_stats(dist, _partition_equal_mass(dist, dist.n_classes))
+        z = gd.n_groups
+        s, i, clamps = heun_with_zero_controls(
+            gd.k_hat, gd.q_hat, np.full(z, 1.0 - DEFAULTS.i0), np.full(z, DEFAULTS.i0), grid
+        )
+        traj = simulate_full(dist, DEFAULTS, grid)
+        assert np.array_equal(traj.s_hat, s.T) and np.array_equal(traj.i_hat, i.T)
+        assert traj.clamp_events == clamps[0]
+        assert n > 126 or clamps[0] > 0  # the coarsest grid clamps
+
+    @pytest.mark.parametrize("n", [126, 201, 1001])
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_grouping_error_rows(self, dist, n):
+        grid, counts = TimeGrid(n, 20.0), range(1, dist.n_classes + 1)
+        rows = [_partition_equal_mass(dist, z) for z in [dist.n_classes, *counts]]
+        width = rows[0].n_groups
+        p, q = np.zeros((len(rows), 1, width)), np.zeros((len(rows), 1, width))
+        k, s0, i0 = (np.zeros((len(rows), width, 1)) for _ in range(3))
+        for row, grouping in enumerate(rows):
+            gd = grouped_stats(dist, grouping)
+            z = gd.n_groups
+            p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
+            s0[row, :z], i0[row, :z] = 1.0 - DEFAULTS.i0, DEFAULTS.i0
+        s, i, clamps = heun_with_zero_controls(k, q, s0, i0, grid)
+        s_agg, i_agg = np.empty((len(rows), n)), np.empty((len(rows), n))
+        for step in range(n):
+            s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s[step])[:, 0], (p @ i[step])[:, 0]
+        if clamps.any():
+            row = int(np.argmax(clamps > 0))
+            name = "the reference model" if row == 0 else f"z={row}"
+            with pytest.raises(NumericalFailureError,
+                               match=rf"^{name} left \[0, 1\] in {clamps[row]} steps"):
+                grouping_error(dist, counts, DEFAULTS, grid)
+            return
+        full = s_agg[0], i_agg[0], 1.0 - s_agg[0] - i_agg[0]
+        expected = []
+        for s_row, i_row in zip(s_agg[1:], i_agg[1:]):
+            num, den = 0.0, 0.0
+            for a, b in zip((s_row, i_row, 1.0 - s_row - i_row), full):
+                num += np.sum((a - b) ** 2)
+                den += np.sum(b**2)
+            expected.append(float(np.sqrt(num / den)))
+        assert grouping_error(dist, counts, DEFAULTS, grid) == expected
+
+
+def row_with_groups(k, groups):
+    """The row of a padded batch ``k`` whose model has ``groups`` groups, or None."""
+    found = np.flatnonzero((k[:, :, 0] > 0).sum(axis=1) == groups)
+    return int(found[0]) if found.size else None
+
+
+class TestErrorProcesses:
+    @pytest.mark.parametrize("cpus, rows, width, expected", [
+        (2, 0, 100, 1), (2, 29, 100, 1), (2, 30, 100, 1), (2, 60, 100, 2), (2, 100, 100, 2),
+        (1, 100, 100, 1), (8, 100, 100, 3), (8, 45, 45, 1), (8, 302, 302, 8),
+    ])
+    def test_one_process_per_cpu_with_enough_entries(self, cpus, rows, width, expected,
+                                                      monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert dynamics._error_processes(rows, width) == expected
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert dynamics._error_processes(rows, width) == 1
+
+    @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
+    def test_errors_do_not_depend_on_the_process_count(self, dist, monkeypatch):
+        counts = range(1, dist.n_classes + 1)
+        one, two, three = (errors_in(p, monkeypatch, dist, counts) for p in (1, 2, 3))
+        assert two == one and three == one
+
+    @pytest.mark.parametrize("fault", [None, "child exits", "fork fails", "truncated answer"])
+    def test_every_fallback_gives_the_same_errors(self, fault, monkeypatch):
+        counts = range(1, PL2.n_classes + 1)
+        expected = errors_in(1, monkeypatch, PL2, counts)
+        parent = os.getpid()
+        errors, dumps = dynamics._errors, pickle.dumps
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return errors(*args)
+
+        def no_fork():
+            raise OSError("fork failed")
+
+        if fault == "child exits":
+            monkeypatch.setattr(dynamics, "_errors", dying)
+        elif fault == "fork fails":
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif fault == "truncated answer":
+            monkeypatch.setattr(pickle, "dump", lambda answer, out: out.write(dumps(answer)[:-9]))
+        assert errors_in(2, monkeypatch, PL2, counts) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure, message", [
+        ("clamp", r"^z=80 left \[0, 1\] in 1000 steps \(clamp events\)"),
+        ("non-finite", r"^non-finite state of z=80 at grid step 25$"),
+    ])
+    def test_failure_in_a_child_share_names_its_row(self, failure, message, monkeypatch):
+        # z = 80 lies in the second of two shares, z = 51..100; it is made to
+        # clamp in every step, or turn non-finite at grid step 25, in
+        # whichever process integrates it
+        heun = dynamics._heun
+
+        def failing(k, *args):
+            row = row_with_groups(k, 80)
+            for step, outside in enumerate(heun(k, *args), 1):
+                if row is not None and failure == "clamp":
+                    forced = np.zeros((2, *k.shape), dtype=bool)
+                    forced[:, row] = True
+                    outside = forced if outside is None else outside | forced
+                elif row is not None and step == 25:
+                    args[1][0, :, row] = np.nan
+                yield outside
+
+        monkeypatch.setattr(dynamics, "_heun", failing)
+        for processes in (1, 2):
+            with pytest.raises(NumericalFailureError, match=message):
+                errors_in(processes, monkeypatch, PL2, range(1, 101))
+
+    def test_one_merge_warning_with_two_processes(self, monkeypatch):
+        # three positive classes among six: Z = 4, 5 and 6 must merge groups;
+        # they lie in both shares, z = 6, 1, 2 and z = 3, 4, 5, 6
+        dist = DegreeDistribution(6, 11, np.array([0.4, 0.0, 0.3, 0.0, 0.0, 0.3]))
+        counts = [6, 1, 2, 3, 4, 5, 6]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            errs = errors_in(2, monkeypatch, dist, counts)
+        assert [str(w.message) for w in caught] == [
+            "mass concentration: fewer groups than requested carry probability "
+            "for z = 4-6; empty groups were merged"
+        ]
+        with pytest.warns(UserWarning, match="4-6"):
+            assert errs == errors_in(1, monkeypatch, dist, counts)
