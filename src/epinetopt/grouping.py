@@ -173,7 +173,7 @@ def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Group
     """:func:`partition_equal_mass` of each count, with one warning for all.
 
     The warning lists every count whose empty groups were merged, runs of
-    consecutive counts as ranges.
+    consecutive counts as ranges, at the line that called ``grouping_error``.
     """
     groupings = [_partition_equal_mass(dist, z) for z in group_counts]
     short = np.unique([z for z, g in zip(group_counts, groupings) if g.n_groups < z])
@@ -184,7 +184,7 @@ def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Group
             "mass concentration: fewer groups than requested carry probability for z = "
             + ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
             + "; empty groups were merged",
-            stacklevel=2,
+            stacklevel=4,  # past grouping_error and its fp_checked wrapper
         )
     return groupings
 

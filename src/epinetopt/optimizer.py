@@ -11,13 +11,13 @@ solved on the box [0, rate_max], with rate_max infinite for the
 method: variables held at a bound stay out of the search direction, and
 an Armijo backtracking search runs along the projected arc.
 
-Each schedule is evaluated once, by one step that simulates it, rejects
-non-finite states and objectives, and prices it with
-:func:`~epinetopt.control.evaluate_cost`. That evaluation is passed on,
-not rebuilt: the line search hands the accepted point's evaluation to the
-gradient and, at the end, to the result, whose ``trajectory`` and
-``breakdown`` callers use instead of re-simulating. :func:`sweep` prices
-its heuristics through the same step.
+Each schedule is evaluated once, by one call (:func:`_forward`) that
+simulates it, alone or in a batch, rejects non-finite states and
+objectives, and prices it with :func:`~epinetopt.control.evaluate_cost`.
+That evaluation is passed on, not rebuilt: the line search hands the
+accepted point's evaluation to the gradient and, at the end, to the
+result, whose ``trajectory`` and ``breakdown`` callers use instead of
+re-simulating. :func:`sweep` prices its heuristics through the same call.
 
 The solve is written once, as a generator of the sweeps it needs
 (:func:`_solve`). :func:`optimize` answers its requests one at a time on
@@ -124,47 +124,34 @@ def _split(problem: OptimizationProblem, x: np.ndarray):
     return x[: m * n].reshape(m, n), x[m * n :].reshape(m, n)
 
 
-def _evaluate(problem, x):
-    """:func:`_forward` of the flat decision vector ``x``."""
-    return _forward(problem, *_split(problem, x))
-
-
 @fp_checked
-def _forward(problem, u, v, traj=None):
-    """Evaluate the schedule (u, v): simulate it, check it, price it.
+def _forward(problems, xs, trajs=None):
+    """Evaluate the schedule of each flat decision vector of ``xs`` on its
+    problem of ``problems``: simulate it, check it, price it.
 
-    ``traj``, if given, is its trajectory already and spares the sweep.
-    Returns ``(schedule, trajectory, breakdown)``; a non-finite state or
-    objective raises :class:`NumericalFailureError`.
+    One problem is simulated by :func:`~epinetopt.dynamics._integrate`, and
+    several, which differ at most in beta and cost, by one batched sweep
+    that gives each the bits it has alone. ``trajs``, if given, are the
+    trajectories already and spare the sweep. Returns one ``(schedule,
+    trajectory, breakdown)`` per point; a non-finite state or objective
+    raises :class:`NumericalFailureError`.
     """
-    schedule = ControlSchedule(u, v, problem.grid)
-    if traj is None:
-        traj = _simulate(problem, u, v)
-    return _priced(problem, schedule, traj)
-
-
-def _simulate(problem, u, v):
-    """The trajectory of the schedule (u, v): one forward sweep."""
-    a = problem.cg.assignment
-    return _integrate(problem.gd, problem.params, problem.grid, u_z=u[a], v_z=v[a])
-
-
-def _forward_batch(problems, requests):
-    """:func:`_forward` of each point ``x`` of ``requests`` (one ``(x,)`` per
-    problem) by one batched sweep; the problems differ at most in beta and cost."""
-    p, controls = problems[0], [_split(q, x) for q, (x,) in zip(problems, requests)]
-    schedules = [ControlSchedule(u, v, p.grid) for u, v in controls]
-    params = [q.params for q in problems]
-    trajs = _integrate_batch(p.gd, p.cg.assignment, params, p.grid, *zip(*controls))
-    return [_priced(*args) for args in zip(problems, schedules, trajs)]
-
-
-def _priced(problem, schedule, traj):
-    """The evaluation of ``schedule``, whose trajectory is ``traj``: price it and check J."""
-    breakdown = evaluate_cost(traj, schedule, problem.cg, problem.cost)
-    if not np.isfinite(breakdown.J):
-        raise NumericalFailureError("objective is not finite")
-    return schedule, traj, breakdown
+    schedules = [ControlSchedule(*_split(q, x), q.grid) for q, x in zip(problems, xs)]
+    if trajs is None:
+        p, a = problems[0], problems[0].cg.assignment
+        if len(problems) == 1:  # one system keeps the (Z,) kernel
+            [s] = schedules
+            trajs = [_integrate(p.gd, p.params, p.grid, u_z=s.u[a], v_z=s.v[a])]
+        else:
+            trajs = _integrate_batch(p.gd, a, [q.params for q in problems], p.grid,
+                                     [s.u for s in schedules], [s.v for s in schedules])
+    evaluations = []
+    for q, schedule, traj in zip(problems, schedules, trajs):
+        breakdown = evaluate_cost(traj, schedule, q.cg, q.cost)
+        if not np.isfinite(breakdown.J):
+            raise NumericalFailureError("objective is not finite")
+        evaluations.append((schedule, traj, breakdown))
+    return evaluations
 
 
 @fp_checked
@@ -173,17 +160,16 @@ def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray, evaluati
 
     The vector stacks the vaccination rates (M*N, row-major) followed by
     the treatment rates. ``evaluation``, if given, must be the
-    ``(schedule, trajectory, breakdown)`` of ``x``, as the solver's
-    evaluation step returns it; it spares the forward sweep and the
-    pricing and leaves the result unchanged. The objective's state
-    derivatives go through the reverse sweep of the Heun steps (discrete
-    adjoint), which differentiates the discretized objective exactly;
-    the per-group result is summed onto the control groups.
+    ``(schedule, trajectory, breakdown)`` of ``x``, as :func:`_forward`
+    returns it; it spares that call and leaves the result unchanged. The
+    objective's state derivatives go through the reverse sweep of the Heun
+    steps (discrete adjoint), which differentiates the discretized
+    objective exactly; the per-group result is summed onto the control
+    groups.
     """
     x = np.asarray(x, dtype=float)
-    u, v = _split(problem, x)
     if evaluation is None:
-        evaluation = _forward(problem, u, v)
+        [evaluation] = _forward([problem], [x])
     return _gradients([problem], [(x, evaluation)])[0]
 
 
@@ -246,7 +232,7 @@ def optimize(
 
     def serve(kind, x, *args):
         if kind == "forward":
-            return _evaluate(problem, x)
+            return _forward([problem], [x])[0]
         if kind == "gradient":
             return objective_and_gradient(problem, x, *args)
         return _line_search(problem, x, *args)
@@ -365,7 +351,7 @@ def _line_search(problem, x, j, g, d):
 
     Returns the accepted point and its evaluation, or None.
     """
-    return _run(_trials(problem, x, j, g, d), lambda _, x_new: _evaluate(problem, x_new))
+    return _run(_trials(problem, x, j, g, d), lambda _, x_new: _forward([problem], [x_new])[0])
 
 
 def _trials(problem, x, j, g, d):
@@ -433,20 +419,22 @@ def sweep(
     in lockstep (:func:`_lockstep`). The children are reaped before ``sweep``
     returns, so ``wait4`` on the whole command adds their CPU time to its
     own and takes their peak RSS into its maximum. The heuristics are
-    simulated per point in a ``beta`` sweep, and once, before any fork, for
-    a ``b`` or ``c`` sweep, whose dynamics do not depend on the weight; they
-    are priced per point, and the constant one is the solve's first
-    iterate. Per-point failures are recorded in the returned row and the
-    sweep continues; a point whose problem cannot be built is never solved.
+    simulated per point in a ``beta`` sweep, and evaluated once on
+    ``problem``, before any fork, in a ``b`` or ``c`` sweep, whose dynamics
+    do not depend on the weight; each point prices them through
+    :func:`_forward`, and the constant one is the solve's first iterate.
+    Per-point failures are recorded in the returned row and the sweep
+    continues; a point whose problem cannot be built is never solved.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
     values = [float(value) for value in values]
-    shared = [None, None]  # a b or c sweep's heuristic trajectories
+    shared = [None, None]  # a b or c sweep's heuristic trajectories, each as [trajectory]
     if name != "beta":
-        for h, schedule in enumerate(_heuristics(problem)):
+        for h, x in enumerate(_heuristics(problem)):
             try:
-                shared[h] = fp_checked(_simulate)(problem, schedule.u, schedule.v)
+                [(_, traj, _)] = _forward([problem], [x])
+                shared[h] = [traj]
             except (NumericalFailureError, ParameterError):
                 pass  # each point simulates it again and records the error
     n = _processes(len(values))
@@ -456,15 +444,15 @@ def sweep(
 
 
 def _heuristics(problem):
-    """The constant beta/2, gamma/2 and the no-control schedules of ``problem``."""
-    m = problem.cg.n_control
-    return constant_strategy(problem.params, problem.grid, m), zero_strategy(problem.grid, m)
+    """The flat constant beta/2, gamma/2 and no-control schedules of ``problem``."""
+    m, grid = problem.cg.n_control, problem.grid
+    return _pack(constant_strategy(problem.params, grid, m)), _pack(zero_strategy(grid, m))
 
 
 def _rows(problem, name, values, shared, share):
     """The :func:`sweep` rows of the points ``share`` (indices into
-    ``values``), solved in this process; ``shared`` holds the heuristic
-    trajectories that every point uses, or None where each simulates its own."""
+    ``values``), solved in this process; ``shared`` holds each heuristic's
+    ``trajs`` for :func:`_forward`, or None where each point simulates it."""
     failures = (NumericalFailureError, ParameterError)
     heuristics = {}  # per point: the constant and no-control breakdowns, or errors
 
@@ -479,9 +467,9 @@ def _rows(problem, name, values, shared, share):
             heuristics[k] = (exc,)
             return None
         found = []
-        for schedule, traj in zip(_heuristics(variant), shared):
+        for x, traj in zip(_heuristics(variant), shared):
             try:
-                found.append(_forward(variant, schedule.u, schedule.v, traj))
+                found.append(_forward([variant], [x], traj)[0])
             except failures as exc:
                 found.append(exc)
         heuristics[k] = [e if isinstance(e, Exception) else e[2] for e in found]
@@ -528,12 +516,12 @@ def _lockstep(jobs):
     and cost.
 
     Each round answers every running solve's forward requests (its first
-    iterate and its line searches' trial points) by one batched sweep, then
-    every gradient request by one batched reverse sweep. A solve that ends
-    leaves the batch, and the next job takes its slot. A batched answer
-    gives each row the bits it has alone; if it raises, each of its rows is
-    answered alone, a row that raises then has failed, and the others go
-    on. Returns ``{key: OptimizationResult, or the error that ended it}``.
+    iterate and its line searches' trial points) by one :func:`_forward`
+    call, then every gradient request by one batched reverse sweep. A solve
+    that ends leaves the batch, and the next job takes its slot. A batched
+    answer gives each row the bits it has alone; if it raises, each of its
+    rows is answered alone, a row that raises then has failed, and the
+    others go on. Returns ``{key: OptimizationResult, or the error that ended it}``.
     """
     jobs, outcomes, running = iter(jobs), {}, []  # running: [key, problem, solve, request]
     failures = (NumericalFailureError, ParameterError, RuntimeWarning)
@@ -583,7 +571,8 @@ def _lockstep(jobs):
             pass
         if not running:
             return outcomes
-        answer("forward", _evaluate, _forward_batch)
+        answer("forward", lambda problem, x: _forward([problem], [x])[0],
+               lambda problems, requests: _forward(problems, [x for x, in requests]))
         answer("gradient", objective_and_gradient, _gradients)
 
 

@@ -490,6 +490,7 @@ class TestGroupingError:
                 "mass concentration: fewer groups than requested carry probability "
                 f"for z = {listed}; empty groups were merged",
             )]
+            assert caught[0].filename == __file__  # the caller, not the library
             assert all(err == 0.0 for z, err in zip(zs, errs) if z >= 3)
 
     def test_grid_must_span_the_horizon(self):

@@ -72,6 +72,26 @@ def test_model_coefficient_reads_are_found():
     assert model_coefficient_reads(source) == [(1, "beta"), (1, "gamma"), (2, "p_hat")]
 
 
+EVALUATION_STEPS = {"_integrate", "_integrate_batch", "evaluate_cost"}
+
+
+def evaluation_step_reads(node):
+    """Sorted names of the forward sweeps and the pricing read under ``node``."""
+    return sorted(
+        n.id for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in EVALUATION_STEPS
+    )
+
+
+def test_optimizer_evaluates_schedules_in_one_function():
+    # every schedule the solver prices goes through _forward, which picks the
+    # one-system or the batched kernel; no other function simulates or prices
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text(encoding="utf-8"))
+    [forward] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_forward"]
+    everywhere = evaluation_step_reads(tree)
+    assert evaluation_step_reads(forward) == everywhere == sorted(EVALUATION_STEPS)
+
+
 def test_package_exports_every_module_list():
     # the package's list is the union of the module lists, each name bound to
     # the object its module defines; errors lists exactly its exception classes

@@ -242,6 +242,22 @@ class TestOptimize:
         assert res.iterations == len(res.history) - 1 == 0
         assert res.converged is False
 
+    def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # a masked quasi-Newton step that does not descend is replaced by the
+        # negated projected gradient, so an ascent direction from the L-BFGS
+        # recursion gives the steepest-descent solve, bit for bit
+        monkeypatch.setattr(epinetopt.optimizer, "_MAX_ITERATIONS", 20)
+        solves = []
+        for direction in (lambda g, pairs: g, lambda g, pairs: -g):
+            monkeypatch.setattr(epinetopt.optimizer, "_lbfgs_direction", direction)
+            solves.append(optimize(SMALL))
+        ascent, steepest = solves
+        assert len(ascent.history) == 21
+        npt.assert_array_equal(ascent.history, steepest.history)
+        assert ascent.J == steepest.J
+        npt.assert_array_equal(ascent.schedule.u, steepest.schedule.u)
+        npt.assert_array_equal(ascent.schedule.v, steepest.schedule.v)
+
     def test_max_iterations_respected(self, monkeypatch):
         monkeypatch.setattr(epinetopt.optimizer, "_MAX_ITERATIONS", 1)
         res = optimize(PROBLEM)
@@ -293,10 +309,10 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def sweep_in(processes, monkeypatch, name, values):
-    """``sweep(SMALL, name, values)`` shared by ``processes`` processes."""
+def sweep_in(processes, monkeypatch, name, values, problem=SMALL):
+    """``sweep(problem, name, values)`` shared by ``processes`` processes."""
     monkeypatch.setattr(epinetopt.optimizer, "_processes", lambda n_points: processes)
-    return sweep(SMALL, name, values)
+    return sweep(problem, name, values)
 
 
 class TestSweep:
@@ -418,6 +434,25 @@ class TestSweepProcesses:
             assert two[1].error == str(failed.value)
         if values[1] == -1.0:
             assert two[1].error == "beta must be finite and >= 0, got -1.0"
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_failed_shared_heuristics_fail_every_point(self, processes, monkeypatch):
+        # beta = 1e300 overflows in the b sweep's shared heuristic sweeps, then
+        # in each point's own and in its solve's first iterate
+        hot, values = variant("beta", 1e300), [0.25, 0.5]
+        for row, b in zip(sweep_in(processes, monkeypatch, "b", values, hot), values):
+            with pytest.raises(NumericalFailureError) as failed:
+                optimize(replace(hot, cost=replace(hot.cost, b=b)))
+            assert row.error == str(failed.value)
+            assert np.isnan([row.J_optimal, row.J_constant, row.J_none]).all()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_point_whose_heuristics_fail_leaves_the_others(self, processes, monkeypatch):
+        rows = sweep_in(processes, monkeypatch, "beta", [0.5, 1e300])
+        assert rows[0] == row_alone("beta", 0.5)
+        with pytest.raises(NumericalFailureError) as failed:
+            optimize(variant("beta", 1e300))
+        assert rows[1].error == str(failed.value)
 
     @pytest.mark.parametrize("fault", [None, "child exits", "fork fails", "truncated answer"])
     def test_no_child_is_left_and_every_fallback_gives_the_same_rows(self, fault, monkeypatch):
