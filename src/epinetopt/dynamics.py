@@ -15,7 +15,11 @@ per-group recovered fraction is algebraic because the flows preserve
 s + i + r exactly. One Heun loop, with one right-hand side and one clamp
 rule, performs every forward sweep, of one system or of a batch of
 independent systems. An uncontrolled sweep passes no controls, and its
-flows leave out the control terms instead of multiplying by zero.
+flows leave out the control terms instead of multiplying by zero. A sweep
+that stores every node runs unclipped and checks the finished store once;
+only a sweep that left [0, 1], or met a floating-point error, runs again
+clipped after every step, so the clamp rule costs one sweep where it acts
+and two reductions where it does not.
 
 A :class:`ControlSchedule` holds the M vaccination and treatment signals
 u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and that
@@ -68,6 +72,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,20 +228,21 @@ class Trajectory:
 
 
 def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
-    """Flow rates for susceptible and infected fractions of each group.
+    """Susceptible loss and infected flow of each group: ``(-ds/dt, di/dt)``.
 
-    Both stages of every :func:`_heun` step call this. One system passes
-    (Z,) vectors. A batch of B systems passes ``q_hat`` as (B, 1, W) rows
-    and the per-group arrays as (B, W, 1) columns, so ``q_hat @ i`` is
-    each system's Theta, (B, 1, 1), by the same dot. The controls ``u``,
-    ``v`` are per-group arrays, or None for an uncontrolled system, whose
-    flows then leave out the control terms: x - 0.0 is x, so the bits are
-    those of zero controls.
+    Both stages of every :func:`_heun` step call this, and the step
+    subtracts the loss: x - a is x + (-a), and -(a + b) is -a - b, bit for
+    bit. One system passes (Z,) vectors. A batch of B systems passes
+    ``q_hat`` as (B, 1, W) rows and the per-group arrays as (B, W, 1)
+    columns, so ``q_hat @ i`` is each system's Theta, (B, 1, 1), by the
+    same dot. The controls ``u``, ``v`` are per-group arrays, or None for an
+    uncontrolled system, whose flows then leave out the control terms:
+    x - 0.0 is x, so the bits are those of zero controls.
     """
     infect = (beta * (q_hat @ i)) * (k_hat * s)
     if u is None:
-        return -infect, infect - gamma * i
-    return -infect - u * s, infect - gamma * i - v * i
+        return infect, infect - gamma * i
+    return infect + u * s, infect - gamma * i - v * i
 
 
 def _clip(x):
@@ -255,7 +261,7 @@ def _clip(x):
     return outside
 
 
-def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
+def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid, clip=True):
     """Advance the stacked state ``xs[0]`` over ``grid``, one Heun step at a time.
 
     ``k_hat``, ``q_hat``, the spreading rate ``beta`` and the states have
@@ -265,24 +271,53 @@ def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
     (N, 2, ...) store keeps every node and a one-entry store is advanced in
     place. ``u[n]``, ``v[n]`` are the controls at node n, and ``u`` and
     ``v`` are None for an uncontrolled system. Yields :func:`_clip`'s result
-    after each step.
+    after each step, or None after each unclipped step when ``clip`` is
+    false. The step sizes and ``gamma`` are 0-d arrays, which spares NumPy
+    a conversion per call, and each control row is taken once and carried
+    to the next step.
     """
-    dt, half, t = grid.dt, 0.5 * grid.dt, len(xs)
+    dt, half, gamma = np.array(grid.dt), np.array(0.5 * grid.dt), np.array(gamma)
     if u is None:
         u = v = [None] * grid.n_points
+    t, u0, v0 = len(xs), u[0], v[0]
     sn, inn = xs[0]
-    for step in range(1, grid.n_points):
-        ds0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u[step - 1], v[step - 1])
-        ds1, di1 = _rhs(sn + dt * ds0, inn + dt * di0, k_hat, q_hat, beta, gamma, u[step], v[step])
+    for step, u1, v1 in zip(range(1, grid.n_points), u[1:], v[1:]):
+        ls0, di0 = _rhs(sn, inn, k_hat, q_hat, beta, gamma, u0, v0)
+        ls1, di1 = _rhs(sn - dt * ls0, inn + dt * di0, k_hat, q_hat, beta, gamma, u1, v1)
         xn = xs[step % t]
-        sn = np.add(sn, half * (ds0 + ds1), out=xn[0])
+        sn = np.subtract(sn, half * (ls0 + ls1), out=xn[0])
         inn = np.add(inn, half * (di0 + di1), out=xn[1])
-        yield _clip(xn)
+        u0, v0 = u1, v1
+        yield _clip(xn) if clip else None
+
+
+def _checked_heun(k_hat, q_hat, x, u, v, beta, gamma, grid):
+    """Fill the (N, 2, ...) store ``x`` by :func:`_heun` and return the
+    :func:`_clip` results of a clipped sweep's steps, or () if it needs none.
+
+    A first pass runs unclipped and the finished store is checked once. If
+    every state lies in [0, 1], no step of a clipped sweep would have
+    clipped, so ``x`` holds its bits and there was no clamp event. If a
+    state left [0, 1] or is NaN, or the pass met a floating-point overflow
+    or invalid value (a ``RuntimeWarning``, which stops the pass here, or a
+    ``FloatingPointError`` under the caller's ``np.errstate``), the clipped
+    sweep is returned instead. It runs again from ``x[0]`` as it is
+    iterated, with the clamp events and the errors of the clipped sweep.
+    """
+    args = (k_hat, q_hat, x, u, v, beta, gamma, grid)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in _heun(*args, clip=False):
+                pass
+    except (RuntimeWarning, FloatingPointError):
+        return _heun(*args)
+    return () if 0 <= x.min() and x.max() <= 1 else _heun(*args)
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
-    """Run one system through :func:`_heun`; ``u_z``/``v_z`` are per-group
-    controls, (Z, N), or None for an uncontrolled system.
+    """Run one system through :func:`_checked_heun`; ``u_z``/``v_z`` are
+    per-group controls, (Z, N), or None for an uncontrolled system.
 
     Each step writes the stacked (s, i), one (2, Z) block, into a time-major
     store. A non-finite state raises :class:`NumericalFailureError`.
@@ -291,21 +326,22 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     u, v = (None, None) if u_z is None else (u_z.T, v_z.T)
     clamp_events = 0
-    for outside in _heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid):
+    for outside in _checked_heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid):
         clamp_events += outside is not None
     return _trajectory(gd, grid, x, clamp_events)
 
 
 def _integrate_batch(gd, assignment, params, grid, u, v):
-    """Run B systems through one batched :func:`_heun`.
+    """Run B systems through one batched :func:`_checked_heun`.
 
     System b has the epidemic ``params[b]``, and the params differ at most
     in beta; it has the (M, N) block controls ``u[b]``, ``v[b]`` (group z
     has the rates of block ``assignment[z]``), and every system has the
     groups ``gd``. Each step advances the (B, Z, 1) columns of every system
-    at once. Returns one :class:`Trajectory` per system, each with the bits
-    that :func:`_integrate` gives that system alone; a non-finite state in
-    any system raises :class:`NumericalFailureError`.
+    at once; if one system leaves [0, 1], all of them run again clipped.
+    Returns one :class:`Trajectory` per system, each with the bits that
+    :func:`_integrate` gives that system alone; a non-finite state in any
+    system raises :class:`NumericalFailureError`.
     """
     rows, n, z = len(params), grid.n_points, gd.n_groups
     beta, gamma, i0 = _per_row(params)
@@ -314,7 +350,7 @@ def _integrate_batch(gd, assignment, params, grid, u, v):
     # (N, B, Z, 1) views of the per-group controls
     u_t, v_t = (np.moveaxis(np.stack(c)[:, assignment], -1, 0)[..., None] for c in (u, v))
     clamps = np.zeros(rows, dtype=int)
-    for outside in _heun(gd.k_hat[:, None], gd.q_hat[None], x, u_t, v_t, beta, gamma, grid):
+    for outside in _checked_heun(gd.k_hat[:, None], gd.q_hat[None], x, u_t, v_t, beta, gamma, grid):
         if outside is not None:
             clamps += outside.any(axis=(0, 2, 3))
     del u_t, v_t  # freed before the trajectories are copied out

@@ -5,6 +5,7 @@ not imported) so integration accuracy is checked against an independent
 route. Frozen constants come from that reference run at high resolution.
 """
 
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -595,3 +596,97 @@ class TestViewsShareOneStep:
         assert clamps == traj.clamp_events
         # N = 126 clamps on PL2 and on ER's full model, so the clip is covered
         assert (clamps > 0) == (n == 126 and (dist is PL2 or z == "all"))
+
+
+def unclipped_pass(gd, params, grid, u_z=None, v_z=None):
+    """Run one system through ``dynamics._heun`` with no clip; returns the (N, 2, Z) store."""
+    x = np.empty((grid.n_points, 2, gd.n_groups))
+    x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
+    u, v = (None, None) if u_z is None else (u_z.T, v_z.T)
+    for _ in dynamics._heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid,
+                            clip=False):
+        pass
+    return x
+
+
+def counted_clip(monkeypatch):
+    """Count the calls of ``dynamics._clip`` from here on, one list entry each."""
+    clip, calls = dynamics._clip, []
+
+    def counting(x):
+        calls.append(None)
+        return clip(x)
+
+    monkeypatch.setattr(dynamics, "_clip", counting)
+    return calls
+
+
+class TestUncheckedPass:
+    """The forward sweeps run Heun unclipped and check the finished store
+    once. A sweep that left [0, 1] or met a floating-point error runs again,
+    clipped after every step, so the unchecked pass never decides an outcome."""
+
+    def test_clean_sweeps_never_clip(self, monkeypatch):
+        gd, cg, grid = swept_problem("rate", 1001)
+        schedules = [swept_schedule(grid, 1001 + row) for row in range(2)]
+        (u, v), (us, vs) = schedules[0], zip(*schedules)
+        params = [replace(DEFAULTS, beta=beta) for beta in (0.5, 0.8)]
+        calls = counted_clip(monkeypatch)
+        trajs = [
+            _integrate(gd, DEFAULTS, grid),
+            _integrate(gd, DEFAULTS, grid, u[cg.assignment], v[cg.assignment]),
+            *_integrate_batch(gd, cg.assignment, params, grid, us, vs),
+        ]
+        assert calls == [] and [t.clamp_events for t in trajs] == [0] * 4
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_clamping_sweep_clips_every_step(self, rows, monkeypatch):
+        # TestSweepsMatchStepwiseLoops' clamping case, alone and as a batch
+        n = 126
+        gd, cg, grid = swept_problem("rate", n)
+        schedules = [swept_schedule(grid, n + row) for row in range(rows)]
+        params = [replace(DEFAULTS, beta=beta) for beta in (0.5, 0.8)[:rows]]
+        u_z, v_z = (np.stack(c)[:, cg.assignment] for c in zip(*schedules))
+        calls = counted_clip(monkeypatch)
+        if rows == 1:
+            trajs = [_integrate(gd, DEFAULTS, grid, u_z[0], v_z[0])]
+        else:
+            trajs = _integrate_batch(gd, cg.assignment, params, grid, *zip(*schedules))
+        assert len(calls) == n - 1
+        for row, traj in enumerate(trajs):
+            s, i, clamps = stepwise_integrate(gd, params[row], grid, u_z[row], v_z[row])
+            assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+            assert traj.clamp_events == clamps
+        assert trajs[0].clamp_events > 0
+
+    def test_error_raised_under_callers_errstate_falls_back(self):
+        # bench/experiment.ini's problem at N = 126: the constant and the
+        # uncontrolled strategy clamp, and under np.errstate(all="raise") the
+        # unclipped pass of each raises FloatingPointError
+        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
+        cg, grid = amass_control_groups(gd, 3), TimeGrid(126, 20.0)
+        for schedule, clamps in ((constant_strategy(DEFAULTS, grid, 3), 22),
+                                 (zero_strategy(grid, 3), 35)):
+            u_z, v_z = schedule.u[cg.assignment], schedule.v[cg.assignment]
+            with np.errstate(all="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    unclipped_pass(gd, DEFAULTS, grid, u_z, v_z)
+                traj = simulate_grouped(gd, cg, schedule, DEFAULTS, grid)
+            s, i, want = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
+            assert traj.clamp_events == want == clamps
+            assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+
+    @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49)])
+    def test_overflow_warning_falls_back(self, n, clamps):
+        # the full PL2 model's unclipped pass overflows on these grids;
+        # simulate_full raises such a warning as NumericalFailureError
+        gd, grid = grouped_stats(PL2, partition_equal_mass(PL2, PL2.n_classes)), TimeGrid(n, 20.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not np.isfinite(unclipped_pass(gd, DEFAULTS, grid)).all()
+        assert any("overflow" in str(w.message) for w in caught)
+        traj = simulate_full(PL2, DEFAULTS, grid)
+        zeros = np.zeros((gd.n_groups, n))
+        s, i, want = stepwise_integrate(gd, DEFAULTS, grid, zeros, zeros)
+        assert traj.clamp_events == want == clamps
+        assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
