@@ -19,17 +19,18 @@ accepted point's evaluation to the gradient and, at the end, to the
 result, whose ``trajectory`` and ``breakdown`` callers use instead of
 re-simulating. :func:`sweep` prices its heuristics through the same call.
 
-The solve is written once, as a generator of the sweeps it needs
-(:func:`_solve`). :func:`optimize` answers its requests one at a time on
-the one-system kernels. :func:`sweep` runs its points two at a time in
-lockstep: each round answers their forward requests by one batched
-forward sweep and their gradient requests by one batched reverse sweep.
-A batched sweep gives each row the bits it has alone, so every sweep row
-is the :func:`optimize` result at its point. A sweep with points for
-more than one lockstep also spreads them over the usable CPUs: it forks
-a process per extra CPU that a share can keep busy, each runs its own
-lockstep on its share of the points, and the rows come back through
-pipes with the same bits. The fork helpers, which
+The solve is written once, as a generator of the evaluations it needs
+(:func:`_solve`), and driven by one loop (:func:`_lockstep`) that
+answers the requests of up to two solves together: their first iterates
+by one forward sweep, their gradients by one batched reverse sweep, and
+their line searches by one batched forward sweep per backtracking round.
+A batched sweep gives each row the bits it has alone, so each solve's
+result does not depend on the others. :func:`optimize` is the lockstep
+of one solve, whose requests are answered one row at a time. A sweep
+with points for more than one lockstep also spreads them over the
+usable CPUs: it forks a process per extra CPU that a share can keep
+busy, each runs its own lockstep on its share of the points, and the
+rows come back through pipes with the same bits. The fork helpers, which
 :func:`~epinetopt.dynamics.grouping_error` uses too, live in
 :mod:`~epinetopt.dynamics`.
 """
@@ -211,7 +212,6 @@ def _project(x, upper):
     return np.minimum(np.maximum(x, 0.0), upper)
 
 
-@fp_checked
 def optimize(
     problem: OptimizationProblem,
     initial: ControlSchedule | None = None,
@@ -228,42 +228,25 @@ def optimize(
     relative decrease below 1e-9. The solve stops there, at the 2000th
     accepted step's iterate, or when the line search fails even along
     steepest descent (``converged=False``). J never exceeds the initial J.
+    The solve (:func:`_solve`) runs as the :func:`_lockstep` of one job, and
+    the error that ends it is raised.
     """
-
-    def serve(kind, x, *args):
-        if kind == "forward":
-            return _forward([problem], [x])[0]
-        if kind == "gradient":
-            return objective_and_gradient(problem, x, *args)
-        return _line_search(problem, x, *args)
-
-    return _run(_solve(problem, initial), serve)
-
-
-def _run(process, serve):
-    """Drive the generator ``process``: answer each request it yields with
-    ``serve(*request)`` and return what it returns."""
-    reply = None
-    while True:
-        try:
-            request = process.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = serve(*request)
+    outcome = _lockstep([(0, problem, _solve(problem, initial))])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _solve(problem, initial=None, start=None):
-    """The solve of :func:`optimize` as a generator of the sweeps it needs.
+    """The solve of :func:`optimize` as a generator of the evaluations it needs.
 
     It yields ``("forward", x)`` for the evaluation of ``x``,
     ``("gradient", x, evaluation)`` for ``(J, gradient)`` at the iterate
     ``x``, and ``("search", x, j, g, d)`` for :func:`_line_search`'s answer,
     and returns the :class:`OptimizationResult`. Each answer is a function
-    of its request alone, so the solve does not depend on who answers:
-    :func:`optimize` answers one request at a time, and :func:`sweep`
-    answers the requests of several solves by batched sweeps. ``start``,
-    if given and the evaluation of the projected initial point, spares its
-    forward sweep.
+    of its request alone, so the solve does not depend on how many others
+    :func:`_lockstep` answers with it. ``start``, if given and the
+    evaluation of the projected initial point, spares its forward sweep.
     """
     m = problem.cg.n_control
     if initial is None:
@@ -349,24 +332,41 @@ def _lbfgs_direction(g, pairs):
 def _line_search(problem, x, j, g, d):
     """Backtracking Armijo search along the projected arc x(a) = P(x + a d).
 
-    Returns the accepted point and its evaluation, or None.
+    Returns the accepted point and its evaluation, or None: the one-row
+    :func:`_line_searches`.
     """
-    return _run(_trials(problem, x, j, g, d), lambda _, x_new: _forward([problem], [x_new])[0])
+    return _line_searches([problem], [(x, j, g, d)])[0]
 
 
-def _trials(problem, x, j, g, d):
-    """:func:`_line_search` as a generator: it yields ``("forward", x_new)``
-    for each trial point and is sent its evaluation."""
-    alpha = 1.0
+def _line_searches(problems, requests):
+    """The :func:`_line_search` of each ``(x, j, g, d)`` of ``requests`` on its
+    problem of ``problems``, which differ at most in beta and cost.
+
+    Round t tries a = 0.5^t in each search still running, skips a search
+    whose step is zero, and evaluates the other trial points by one
+    :func:`_forward` call. So each search tries the points it tries alone
+    and gets their bits.
+    """
+    answers, running, alpha = [None] * len(requests), list(range(len(requests))), 1.0
     for _ in range(_MAX_BACKTRACKS):
-        x_new = _project(x + alpha * d, problem.cost.rate_max)
-        step = x_new - x
-        if step.any():
-            evaluation = yield "forward", x_new
+        if not running:
+            break
+        trials = []
+        for n in running:
+            x, _, _, d = requests[n]
+            x_new = _project(x + alpha * d, problems[n].cost.rate_max)
+            step = x_new - x
+            if step.any():
+                trials.append((n, x_new, step))
+        evaluations = _forward([problems[n] for n, *_ in trials],
+                               [x_new for _, x_new, _ in trials]) if trials else []
+        for (n, x_new, step), evaluation in zip(trials, evaluations):
+            _, j, g, _ = requests[n]
             if evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
-                return x_new, evaluation
+                answers[n] = x_new, evaluation
+                running.remove(n)
         alpha *= 0.5
-    return None
+    return answers
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,8 @@ def _rows(problem, name, values, shared, share):
     heuristics = {}  # per point: the constant and no-control breakdowns, or errors
 
     def point(k):
-        """Point k's problem and its heuristics' first-iterate evaluation, or None."""
+        """Point k's :func:`_lockstep` job, which starts its solve from its
+        constant heuristic's evaluation, or None."""
         try:
             if name == "beta":
                 variant = replace(problem, params=replace(problem.params, beta=values[k]))
@@ -473,7 +474,8 @@ def _rows(problem, name, values, shared, share):
             except failures as exc:
                 found.append(exc)
         heuristics[k] = [e if isinstance(e, Exception) else e[2] for e in found]
-        return k, variant, None if isinstance(found[0], Exception) else found[0]
+        first = None if isinstance(found[0], Exception) else found[0]
+        return k, variant, _solve(variant, start=first)
 
     solved = _lockstep(filter(None, map(point, share)))
     rows = []
@@ -511,17 +513,23 @@ def _processes(n_points):
 
 @fp_checked
 def _lockstep(jobs):
-    """Solve each ``(key, problem, start)`` of ``jobs`` as :func:`optimize`
-    does, ``_WIDTH`` solves at a time; the problems differ at most in beta
-    and cost.
+    """Run each ``(key, problem, solve)`` of ``jobs``, ``solve`` a
+    :func:`_solve` generator, ``_WIDTH`` solves at a time; the problems
+    differ at most in beta and cost.
 
-    Each round answers every running solve's forward requests (its first
-    iterate and its line searches' trial points) by one :func:`_forward`
-    call, then every gradient request by one batched reverse sweep. A solve
-    that ends leaves the batch, and the next job takes its slot. A batched
-    answer gives each row the bits it has alone; if it raises, each of its
-    rows is answered alone, a row that raises then has failed, and the
-    others go on. Returns ``{key: OptimizationResult, or the error that ended it}``.
+    Each round answers the running solves' forward requests (first
+    iterates) by one :func:`_forward` call, then their gradient requests by
+    one batched reverse sweep, then their line searches by
+    :func:`_line_searches`. A request that is alone in its round is answered
+    by the one-row :func:`_forward`, :func:`objective_and_gradient` or
+    :func:`_line_search`, so :func:`optimize`, a lockstep of one job, calls
+    only these. A solve that ends leaves the batch, and the next job takes
+    its slot. A batched answer gives each row the bits it has alone; if it
+    raises, each of its rows is answered alone, a row that raises then has
+    failed, and the others go on. A floating-point overflow or invalid
+    value in a solve's own step, or in its line search's arithmetic, fails
+    it with the error ``optimize: floating-point ...``. Returns ``{key:
+    OptimizationResult, or the error that ended it}``.
     """
     jobs, outcomes, running = iter(jobs), {}, []  # running: [key, problem, solve, request]
     failures = (NumericalFailureError, ParameterError, RuntimeWarning)
@@ -529,22 +537,22 @@ def _lockstep(jobs):
     # outlives its round.
 
     def send(slot, reply):
-        key, problem, solve, _ = slot
+        """Send the solve of ``slot`` ``reply()``; keep it running or record how it ended."""
+        key, _, solve, _ = slot
         try:
-            slot[3] = solve.send(reply)
+            slot[3] = solve.send(reply())
         except StopIteration as done:
             outcomes[key] = done.value
-        except failures:  # the solve's own step failed: optimize gives its error
-            try:
-                outcomes[key] = optimize(problem)
-            except (NumericalFailureError, ParameterError) as exc:
-                outcomes[key] = exc
+        except RuntimeWarning as exc:  # in the solve's own step or its search's arithmetic
+            outcomes[key] = NumericalFailureError(f"optimize: floating-point {exc}")
+        except (NumericalFailureError, ParameterError) as exc:
+            outcomes[key] = exc
         else:
             running.append(slot)
 
     def start():
-        for key, problem, first in jobs:
-            send([key, problem, _searching(problem, _solve(problem, start=first)), None], None)
+        for key, problem, solve in jobs:
+            send([key, problem, solve, None], lambda: None)
             return True
         return False
 
@@ -559,12 +567,8 @@ def _lockstep(jobs):
             except failures:
                 pass  # answered row by row below
         for n, slot in enumerate(batch):
-            try:
-                reply = alone(problems[n], *requests[n]) if replies is None else replies[n]
-            except (NumericalFailureError, ParameterError) as exc:
-                outcomes[slot[0]] = exc
-            else:
-                send(slot, reply)
+            send(slot, lambda: alone(problems[n], *requests[n]) if replies is None
+                 else replies[n])
 
     while True:
         while len(running) < _WIDTH and start():
@@ -574,18 +578,4 @@ def _lockstep(jobs):
         answer("forward", lambda problem, x: _forward([problem], [x])[0],
                lambda problems, requests: _forward(problems, [x for x, in requests]))
         answer("gradient", objective_and_gradient, _gradients)
-
-
-def _searching(problem, solve):
-    """The generator ``solve`` (:func:`_solve`) with its line searches run
-    inline, so that it yields only forward and gradient requests."""
-    reply = None
-    while True:
-        try:
-            kind, x, *args = solve.send(reply)
-        except StopIteration as done:
-            return done.value
-        if kind == "search":
-            reply = yield from _trials(problem, x, *args)
-        else:
-            reply = yield kind, x, *args
+        answer("search", _line_search, _line_searches)

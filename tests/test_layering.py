@@ -4,9 +4,10 @@ Each module may import only from modules earlier in ``LAYERS``. Every
 import is checked, including those inside functions and those under
 ``if TYPE_CHECKING:``, so an annotation cannot name a later layer either. The
 benchmark's tracer wraps the cross-module calls by the names the calling
-modules look up, so those names are checked to resolve as well, and
-every name a module imports must be read in it: no import stays only for
-the tracer.
+modules look up, so those names are checked to resolve and to be reached
+by a solve. Every name a module imports must be read in it, and every
+private function and class must be read in the package: no name stays
+only for the tracer.
 """
 
 import ast
@@ -135,6 +136,39 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
 
 
+def unread_private_definitions(sources):
+    """(module, name) of every private top-level function and class of
+    ``sources`` (module name to source) that no source reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        (module, node.name) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_every_private_definition_is_read():
+    # a private function or class that nothing in the package reads is dead,
+    # or kept only for the tracer, which must not shape the program
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_definitions(sources) == []
+
+
+def test_unread_private_definitions_are_found():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    _gone = 1\n\nclass _Ghost:\n    pass\n",
+        "b": "from .a import _used\nimport a\n_used()\na._Ghost\ndef public():\n    pass\n",
+    }
+    assert unread_private_definitions(sources) == [("a", "_dead")]
+
+
 def test_unused_imports_are_found():
     source = (
         "import os, numpy as np\nfrom typing import TYPE_CHECKING\n"
@@ -173,3 +207,8 @@ def test_benchmark_tracer_names_resolve():
     assert all(s["steps"] == 100 and isinstance(s["clamps"], int) for s in forward)
     [solve] = [s for s in recorder.spans if s["name"] == "optimizer.solve"]
     assert solve["iterations"] >= 1
+    # optimize reaches the wrapped gradient and line search, whose trial
+    # points are simulated by the wrapped forward sweep
+    searches = {s["id"] for s in recorder.spans if s["name"] == "optimizer.line_search"}
+    assert any(s["parent"] in searches for s in forward)
+    assert any(s["name"] == "optimizer.gradient" for s in recorder.spans)

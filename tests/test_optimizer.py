@@ -497,6 +497,79 @@ class TestSweepProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("call", [0, 5], ids=["solve step", "search step"])
+    def test_overflow_in_the_solvers_own_step_fails_its_row_alone(self, call, monkeypatch,
+                                                                  tmp_path):
+        # _project overflows when it is given the input of beta = 0.8's call-th
+        # projection alone: call 0 projects the solve's start, and call 5 is a
+        # line search's trial point. That row fails with optimize's error, the
+        # other keeps its bits, and no solve is started a second time.
+        expected = row_alone("beta", 0.5)
+        project, solve = epinetopt.optimizer._project, epinetopt.optimizer._solve
+        inputs, log = [], tmp_path / "solves.txt"
+
+        def recording(x, upper):
+            inputs.append(x.copy())
+            return project(x, upper)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_project", recording)
+        optimize(variant("beta", 0.8))
+        target = inputs[call]
+
+        def overflowing(x, upper):
+            if np.array_equal(x, target):
+                np.full(1, 1e308) * 10.0
+            return project(x, upper)
+
+        def counting(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write("solve\n")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_project", overflowing)
+        monkeypatch.setattr(epinetopt.optimizer, "_solve", counting)
+        with pytest.raises(NumericalFailureError) as failed:
+            optimize(variant("beta", 0.8))
+        assert str(failed.value).startswith("optimize: floating-point overflow")
+        assert log.read_text().count("solve") == 1
+        for processes in (1, 2):
+            log.unlink()
+            rows = sweep_in(processes, monkeypatch, "beta", [0.5, 0.8])
+            assert rows[0] == expected
+            assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_optimal)
+            assert log.read_text().count("solve") == 2
+
+    def test_row_failing_in_a_batched_line_search_leaves_the_other(self, monkeypatch):
+        # beta = 0.8's third trial point fails as a non-finite objective does,
+        # in a line search batched with beta = 0.5's: the batch is searched
+        # again row by row, and only that row fails, with optimize's error
+        expected, forward = row_alone("beta", 0.5), epinetopt.optimizer._forward
+        evaluated, batches = [], []
+
+        def recording(problems, xs, trajs=None):
+            evaluated.extend(xs)
+            return forward(problems, xs, trajs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_forward", recording)
+        optimize(variant("beta", 0.8))
+        target = evaluated[3]  # evaluated[0] is the solve's start
+
+        def failing(problems, xs, trajs=None):
+            if any(q.params.beta == 0.8 and np.array_equal(x, target)
+                   for q, x in zip(problems, xs)):
+                batches.append(len(problems))
+                raise NumericalFailureError("objective is not finite")
+            return forward(problems, xs, trajs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_forward", failing)
+        rows = sweep_in(1, monkeypatch, "beta", [0.5, 0.8])
+        assert batches == [2, 1]  # batched first, then alone
+        assert rows[0] == expected
+        with pytest.raises(NumericalFailureError) as failed:
+            optimize(variant("beta", 0.8))
+        assert rows[1].error == str(failed.value) == "objective is not finite"
+        assert np.isnan(rows[1].J_optimal)
+
     def test_pickled_row_compares_equal(self):
         for row in (SweepPoint(0.5, error="failed"), row_alone("b", 0.25)):
             assert pickle.loads(pickle.dumps(row)) == row
