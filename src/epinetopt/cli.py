@@ -411,10 +411,16 @@ def run_experiment(config: ExperimentConfig) -> None:
     strategy), controls.csv (the optimized schedule when present, else
     the first strategy's), allocation.csv (percentage resource shares),
     summary.txt, the effective config, and history.csv whenever the
-    optimizer ran.
+    optimizer ran. A strategy's :class:`NumericalFailureError` is raised
+    with the strategy's name before anything is written.
     """
     dist, gd, cg = config.build()
-    outcomes = [_run_strategy(name, config, gd, cg) for name in config.strategies]
+    outcomes = []
+    for name in config.strategies:
+        try:
+            outcomes.append(_run_strategy(name, config, gd, cg))
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(f"strategy {name}: {exc}") from exc
     out = config.output_dir
 
     header = ["t"]

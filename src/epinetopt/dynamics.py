@@ -12,14 +12,16 @@ control group m = m(z):
 where Theta = sum_l q_l * i_l is the infection pressure (probability
 that a random edge end is infected), computed once per stage. The
 per-group recovered fraction is algebraic because the flows preserve
-s + i + r exactly. One Heun loop, with one right-hand side and one clamp
-rule, performs every forward sweep, of one system or of a batch of
-independent systems. An uncontrolled sweep passes no controls, and its
-flows leave out the control terms instead of multiplying by zero. A sweep
-that stores every node runs unclipped and checks the finished store once;
-only a sweep that left [0, 1], or met a floating-point error, runs again
-clipped after every step, so the clamp rule costs one sweep where it acts
-and two reductions where it does not.
+s + i + r exactly. One Heun loop, with one right-hand side, performs
+every forward sweep, of one system or of a batch of independent systems.
+An uncontrolled sweep passes no controls, and its flows leave out the
+control terms instead of multiplying by zero. The states are population
+fractions, so a sweep whose state leaves [0, 1] or turns NaN has failed,
+most often because the grid is too coarse: it raises
+:class:`NumericalFailureError`, naming the first grid step concerned.
+Nothing is clipped, since a clipped trajectory is not the model's and the
+reverse sweep would not differentiate the clip. A sweep that stores every
+node checks the finished store once, at the cost of two reductions.
 
 A :class:`ControlSchedule` holds the M vaccination and treatment signals
 u_m, v_m sampled on a :class:`TimeGrid` and checks its own shape and that
@@ -36,8 +38,8 @@ to the reference's width. A padded group has zero degree, edge-end
 weight, mass and state, so it adds nothing to Theta or to the
 aggregates, and a row's result does not depend on the rest of the batch.
 The rows advance in fixed-size blocks, so memory stays bounded however
-many Z are asked for. A row that leaves [0, 1] (a clamp event) makes the
-comparison fail instead of reporting errors of clipped trajectories.
+many Z are asked for. A row that leaves [0, 1] makes the comparison
+fail, naming the row and the grid step.
 
 Independent jobs are shared out to forked processes here, for
 `grouping_error` and for the optimizer's sweeps: :func:`_share_out` runs
@@ -94,14 +96,11 @@ __all__ = [
     "cumulative_infected",
 ]
 
-# Grid fine enough that the default epidemics are clamp-free and doubling
+# Grid fine enough that the default epidemics stay in [0, 1] and doubling
 # the resolution moves the cumulative infected integral by < 1e-4. The
 # aggregate s, i and r of the full model are off by up to 5.3e-3 absolute
 # near the peak, ~14x less at 4001 points (tests/test_dynamics.py's RK4 oracle).
 DEFAULT_GRID_POINTS = 1001
-
-# A clamp event is a step leaving [0,1] by more than this before clipping.
-_CLAMP_TOL = 1e-12
 
 # grouping_error advances its rows in blocks holding at most this many
 # entries of per-group state and stored aggregates (2 MB per array).
@@ -207,10 +206,13 @@ class Trajectory:
     """Per-group and aggregate state fractions over a time grid.
 
     ``s_hat``, ``i_hat``, ``r_hat`` are (Z, N); ``s``, ``i``, ``r`` are the
-    population aggregates, weighted by the group masses ``p_hat``.
-    ``clamp_events`` counts integration steps that left [0, 1] by more
-    than 1e-12 before clipping — nonzero values flag an under-resolved
-    grid.
+    population aggregates, weighted by the group masses ``p_hat``. Every
+    state lies in [0, 1]: a sweep that leaves it raises instead.
+
+    ``clamp_events`` is 0 for every trajectory, since none is clipped. It
+    stays for the benchmark: ``bench/checks.py`` reads the ``clamp_events``
+    lines of ``summary.txt``, and ``bench/tracer.py`` reads it from traced
+    sweeps for ``bench/run.py``'s check.
     """
 
     s_hat: np.ndarray
@@ -219,8 +221,8 @@ class Trajectory:
     i: np.ndarray
     r: np.ndarray
     grid: TimeGrid
-    clamp_events: int
     p_hat: np.ndarray
+    clamp_events = 0
 
     @property
     def r_hat(self) -> np.ndarray:
@@ -245,23 +247,7 @@ def _rhs(s, i, k_hat, q_hat, beta, gamma, u, v):
     return infect + u * s, infect - gamma * i - v * i
 
 
-def _clip(x):
-    """Clip the stacked states ``x`` (s and i along the first axis) to [0, 1] in place.
-
-    Returns None, or, when a state had left [0, 1] by more than
-    ``_CLAMP_TOL`` (a clamp event), the mask of the entries that had.
-    """
-    lo, hi = x.min(), x.max()
-    if not (lo < 0 or hi > 1):
-        return None
-    outside = None
-    if lo < -_CLAMP_TOL or hi > 1 + _CLAMP_TOL:
-        outside = (x < -_CLAMP_TOL) | (x > 1 + _CLAMP_TOL)
-    np.clip(x, 0.0, 1.0, out=x)
-    return outside
-
-
-def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid, clip=True):
+def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid):
     """Advance the stacked state ``xs[0]`` over ``grid``, one Heun step at a time.
 
     ``k_hat``, ``q_hat``, the spreading rate ``beta`` and the states have
@@ -270,11 +256,10 @@ def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid, clip=True):
     states: the state at grid node n is written to ``xs[n % T]``, so a
     (N, 2, ...) store keeps every node and a one-entry store is advanced in
     place. ``u[n]``, ``v[n]`` are the controls at node n, and ``u`` and
-    ``v`` are None for an uncontrolled system. Yields :func:`_clip`'s result
-    after each step, or None after each unclipped step when ``clip`` is
-    false. The step sizes and ``gamma`` are 0-d arrays, which spares NumPy
-    a conversion per call, and each control row is taken once and carried
-    to the next step.
+    ``v`` are None for an uncontrolled system. Yields after each step and
+    checks nothing; its callers check the states. The step sizes and
+    ``gamma`` are 0-d arrays, which spares NumPy a conversion per call, and
+    each control row is taken once and carried to the next step.
     """
     dt, half, gamma = np.array(grid.dt), np.array(0.5 * grid.dt), np.array(gamma)
     if u is None:
@@ -288,31 +273,26 @@ def _heun(k_hat, q_hat, xs, u, v, beta, gamma, grid, clip=True):
         sn = np.subtract(sn, half * (ls0 + ls1), out=xn[0])
         inn = np.add(inn, half * (di0 + di1), out=xn[1])
         u0, v0 = u1, v1
-        yield _clip(xn) if clip else None
+        yield
 
 
 def _checked_heun(k_hat, q_hat, x, u, v, beta, gamma, grid):
-    """Fill the (N, 2, ...) store ``x`` by :func:`_heun` and return the
-    :func:`_clip` results of a clipped sweep's steps, or () if it needs none.
+    """Fill the (N, 2, ...) store ``x`` by :func:`_heun`, then check it once.
 
-    A first pass runs unclipped and the finished store is checked once. If
-    every state lies in [0, 1], no step of a clipped sweep would have
-    clipped, so ``x`` holds its bits and there was no clamp event. If a
-    state left [0, 1] or is NaN, or the pass met a floating-point overflow
-    or invalid value (a ``RuntimeWarning``, which stops the pass here, or a
-    ``FloatingPointError`` under the caller's ``np.errstate``), the clipped
-    sweep is returned instead. It runs again from ``x[0]`` as it is
-    iterated, with the clamp events and the errors of the clipped sweep.
+    A state outside [0, 1], NaN included, raises
+    :class:`NumericalFailureError` naming the first grid step concerned.
+    The pass ignores NumPy's overflow and invalid-value warnings: a
+    blow-up leaves a non-finite or out-of-range state, which the check
+    finds. Under a caller's ``np.errstate`` that raises, the
+    ``FloatingPointError`` goes to the caller as it is.
     """
-    args = (k_hat, q_hat, x, u, v, beta, gamma, grid)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for _ in _heun(*args, clip=False):
-                pass
-    except (RuntimeWarning, FloatingPointError):
-        return _heun(*args)
-    return () if 0 <= x.min() and x.max() <= 1 else _heun(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in _heun(k_hat, q_hat, x, u, v, beta, gamma, grid):
+            pass
+    if not (0 <= x.min() and x.max() <= 1):  # false for NaN too
+        inside = ((0 <= x) & (x <= 1)).reshape(len(x), -1).all(axis=1)
+        raise NumericalFailureError(f"state left [0, 1] at grid step {np.argmin(inside)}")
 
 
 def _integrate(gd, params, grid, u_z=None, v_z=None):
@@ -320,15 +300,13 @@ def _integrate(gd, params, grid, u_z=None, v_z=None):
     per-group controls, (Z, N), or None for an uncontrolled system.
 
     Each step writes the stacked (s, i), one (2, Z) block, into a time-major
-    store. A non-finite state raises :class:`NumericalFailureError`.
+    store. A state that leaves [0, 1] raises :class:`NumericalFailureError`.
     """
     x = np.empty((grid.n_points, 2, gd.n_groups))  # x[step] = (s, i) at grid node step
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     u, v = (None, None) if u_z is None else (u_z.T, v_z.T)
-    clamp_events = 0
-    for outside in _checked_heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid):
-        clamp_events += outside is not None
-    return _trajectory(gd, grid, x, clamp_events)
+    _checked_heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid)
+    return _trajectory(gd, grid, x)
 
 
 def _integrate_batch(gd, assignment, params, grid, u, v):
@@ -338,10 +316,9 @@ def _integrate_batch(gd, assignment, params, grid, u, v):
     in beta; it has the (M, N) block controls ``u[b]``, ``v[b]`` (group z
     has the rates of block ``assignment[z]``), and every system has the
     groups ``gd``. Each step advances the (B, Z, 1) columns of every system
-    at once; if one system leaves [0, 1], all of them run again clipped.
-    Returns one :class:`Trajectory` per system, each with the bits that
-    :func:`_integrate` gives that system alone; a non-finite state in any
-    system raises :class:`NumericalFailureError`.
+    at once. Returns one :class:`Trajectory` per system, each with the bits
+    that :func:`_integrate` gives that system alone; a state of any system
+    that leaves [0, 1] raises :class:`NumericalFailureError`.
     """
     rows, n, z = len(params), grid.n_points, gd.n_groups
     beta, gamma, i0 = _per_row(params)
@@ -349,12 +326,9 @@ def _integrate_batch(gd, assignment, params, grid, u, v):
     x[0, 0], x[0, 1] = 1.0 - i0, i0
     # (N, B, Z, 1) views of the per-group controls
     u_t, v_t = (np.moveaxis(np.stack(c)[:, assignment], -1, 0)[..., None] for c in (u, v))
-    clamps = np.zeros(rows, dtype=int)
-    for outside in _checked_heun(gd.k_hat[:, None], gd.q_hat[None], x, u_t, v_t, beta, gamma, grid):
-        if outside is not None:
-            clamps += outside.any(axis=(0, 2, 3))
+    _checked_heun(gd.k_hat[:, None], gd.q_hat[None], x, u_t, v_t, beta, gamma, grid)
     del u_t, v_t  # freed before the trajectories are copied out
-    return [_trajectory(gd, grid, x[:, :, b, :, 0], int(clamps[b])) for b in range(rows)]
+    return [_trajectory(gd, grid, x[:, :, b, :, 0]) for b in range(rows)]
 
 
 def _per_row(params):
@@ -363,20 +337,15 @@ def _per_row(params):
     return np.reshape([p.beta for p in params], (-1, 1, 1)), params[0].gamma, params[0].i0
 
 
-def _trajectory(gd, grid, x, clamp_events):
-    """The :class:`Trajectory` of one system's (N, 2, Z) store ``x`` of (s, i) states.
-
-    A non-finite state raises :class:`NumericalFailureError`.
-    """
+def _trajectory(gd, grid, x):
+    """The :class:`Trajectory` of one system's (N, 2, Z) store ``x`` of
+    (s, i) states, checked by :func:`_checked_heun`."""
     s, i = x.transpose(1, 2, 0).copy()  # (Z, N) each
-    bad = ~(np.isfinite(s).all(axis=0) & np.isfinite(i).all(axis=0))
-    if bad.any():
-        raise NumericalFailureError(f"non-finite state at grid step {int(np.argmax(bad))}")
     # population aggregates: s = sum_z p_hat_z s_z, likewise i; r = 1 - s - i
     s_agg, i_agg = gd.p_hat @ s, gd.p_hat @ i
     return Trajectory(
         s_hat=s, i_hat=i, s=s_agg, i=i_agg, r=1.0 - s_agg - i_agg,
-        grid=grid, clamp_events=clamp_events, p_hat=gd.p_hat,
+        grid=grid, p_hat=gd.p_hat,
     )
 
 
@@ -608,11 +577,11 @@ def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list
     ``||grouped - full||_2 / ||full||_2``, combining all three states in
     one norm. A Z that reproduces the reference grouping gives exactly 0.
 
-    Raises :class:`NumericalFailureError`, naming the first row concerned,
-    if a state turns non-finite or if a row has a clamp event: a clipped
-    trajectory would make the error meaningless. The shares are checked in
-    order, and a share that failed in its child is run again here to raise
-    its error. ``grid`` must span ``params.duration`` (:func:`_check_model`).
+    Raises :class:`NumericalFailureError`, naming the first row concerned
+    and the grid step, if a state leaves [0, 1] or turns NaN: such a
+    trajectory is not the model's. The shares are checked in order, and a
+    share that failed in its child is run again here to raise its error.
+    ``grid`` must span ``params.duration`` (:func:`_check_model`).
     """
     _check_model(params, grid)
     group_counts = list(group_counts)  # read twice below
@@ -637,8 +606,10 @@ def _errors(dist, rows, params, grid):
     ``rows`` after the first, the reference, against the first.
 
     The rows run uncontrolled through :func:`_heun` in zero-padded blocks
-    of at most ``_BLOCK_ENTRIES`` entries; a block that turns non-finite or
-    clamps raises, naming its first row concerned.
+    of at most ``_BLOCK_ENTRIES`` entries, each advanced in place. After
+    each step the block's states are checked, as :func:`_checked_heun`
+    checks a store: a state outside [0, 1] raises, naming its first row
+    concerned and the step.
     """
     n, width = grid.n_points, rows[0][1].n_groups
     per_block = max(1, _BLOCK_ENTRIES // (width + 2 * n))
@@ -656,22 +627,16 @@ def _errors(dist, rows, params, grid):
             s[row, :z], i[row, :z] = 1.0 - params.i0, params.i0
         s_agg, i_agg = np.empty((count, n)), np.empty((count, n))
         s_agg[:, :1], i_agg[:, :1] = (p @ s)[:, 0], (p @ i)[:, 0]
-        clamps = np.zeros(count, dtype=int)
-        steps = _heun(k, q, x, None, None, params.beta, params.gamma, grid)
-        for step, outside in enumerate(steps, 1):
-            if outside is not None:
-                clamps += outside.any(axis=(0, 2, 3))
-            s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
-        bad = ~(np.isfinite(s_agg) & np.isfinite(i_agg))
-        if bad.any():
-            row, step = np.argwhere(bad)[0]
-            raise NumericalFailureError(f"non-finite state of {names[row]} at grid step {step}")
-        if clamps.any():
-            row = int(np.argmax(clamps > 0))
-            raise NumericalFailureError(
-                f"{names[row]} left [0, 1] in {clamps[row]} steps (clamp events); "
-                "the time grid is too coarse"
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            steps = _heun(k, q, x, None, None, params.beta, params.gamma, grid)
+            for step, _ in enumerate(steps, 1):
+                if not (0 <= x.min() and x.max() <= 1):  # false for NaN too
+                    inside = ((0 <= x[0]) & (x[0] <= 1)).all(axis=(0, 2, 3))
+                    raise NumericalFailureError(
+                        f"{names[np.argmin(inside)]} left [0, 1] at grid step {step}"
+                    )
+                s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s)[:, 0], (p @ i)[:, 0]
         if full is None:
             full = s_agg[0], i_agg[0], 1.0 - s_agg[0] - i_agg[0]
             s_agg, i_agg = s_agg[1:], i_agg[1:]

@@ -12,12 +12,13 @@ method: variables held at a bound stay out of the search direction, and
 an Armijo backtracking search runs along the projected arc.
 
 Each schedule is evaluated once, by one call (:func:`_forward`) that
-simulates it, alone or in a batch, rejects non-finite states and
-objectives, and prices it with :func:`~epinetopt.control.evaluate_cost`.
-That evaluation is passed on, not rebuilt: the line search hands the
-accepted point's evaluation to the gradient and, at the end, to the
-result, whose ``trajectory`` and ``breakdown`` callers use instead of
-re-simulating. :func:`sweep` prices its heuristics through the same call.
+simulates it, alone or in a batch, rejects states outside [0, 1] and
+non-finite objectives, and prices it with
+:func:`~epinetopt.control.evaluate_cost`. That evaluation is passed on,
+not rebuilt: the line search hands the accepted point's evaluation to
+the gradient and, at the end, to the result, whose ``trajectory`` and
+``breakdown`` callers use instead of re-simulating. :func:`sweep` prices
+its heuristics through the same call.
 
 The solve is written once, as a generator of the evaluations it needs
 (:func:`_solve`), and driven by one loop (:func:`_lockstep`) that
@@ -134,8 +135,8 @@ def _forward(problems, xs, trajs=None):
     several, which differ at most in beta and cost, by one batched sweep
     that gives each the bits it has alone. ``trajs``, if given, are the
     trajectories already and spare the sweep. Returns one ``(schedule,
-    trajectory, breakdown)`` per point; a non-finite state or objective
-    raises :class:`NumericalFailureError`.
+    trajectory, breakdown)`` per point; a state that leaves [0, 1] or a
+    non-finite objective raises :class:`NumericalFailureError`.
     """
     schedules = [ControlSchedule(*_split(q, x), q.grid) for q, x in zip(problems, xs)]
     if trajs is None:
@@ -345,7 +346,11 @@ def _line_searches(problems, requests):
     Round t tries a = 0.5^t in each search still running, skips a search
     whose step is zero, and evaluates the other trial points by one
     :func:`_forward` call. So each search tries the points it tries alone
-    and gets their bits.
+    and gets their bits. A trial whose evaluation raises
+    :class:`NumericalFailureError` (its state left [0, 1], or its J is not
+    finite) is rejected, as if its J were infinite, and its search halves
+    the step. If a round's call evaluated several trials and raised, the
+    error goes to the caller, which then answers each search alone.
     """
     answers, running, alpha = [None] * len(requests), list(range(len(requests))), 1.0
     for _ in range(_MAX_BACKTRACKS):
@@ -358,11 +363,16 @@ def _line_searches(problems, requests):
             step = x_new - x
             if step.any():
                 trials.append((n, x_new, step))
-        evaluations = _forward([problems[n] for n, *_ in trials],
-                               [x_new for _, x_new, _ in trials]) if trials else []
+        try:
+            evaluations = _forward([problems[n] for n, *_ in trials],
+                                   [x_new for _, x_new, _ in trials]) if trials else []
+        except NumericalFailureError:
+            if len(trials) > 1:
+                raise
+            evaluations = [None]  # the one trial failed: rejected
         for (n, x_new, step), evaluation in zip(trials, evaluations):
             _, j, g, _ = requests[n]
-            if evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
+            if evaluation is not None and evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
                 answers[n] = x_new, evaluation
                 running.remove(n)
         alpha *= 0.5

@@ -13,8 +13,8 @@ cost functional is not stated. They run in the paper's setting: the
 heuristics the way the paper's improvement figures imply, on groups with
 the SIR (excess-degree) infection pressure (``*_PAPER_GD``). The optimum
 and both heuristics are priced with the same cost object, and every
-solve must converge without clamp events. The other criteria check the
-program's defaults.
+solve must converge; a sweep whose state leaves [0, 1] raises. The other
+criteria check the program's defaults.
 """
 
 import glob
@@ -89,7 +89,6 @@ def _optimal(gd, cg, params=DEFAULTS, cost=PAPER_COST):
     result = optimize(OptimizationProblem(gd, cg, params, cost, GRID))
     traj = result.trajectory
     assert result.converged, "optimal solve did not converge"
-    assert traj.clamp_events == 0, f"optimal trajectory clamped {traj.clamp_events} times"
     return result, traj
 
 
@@ -297,9 +296,10 @@ def test_criterion_8_cost_sweeps():
 def test_criterion_9_property_suite(pl2_optimal, er_optimal):
     items = {}
 
-    # conservation and nonnegativity across randomized configurations
+    # conservation and nonnegativity across randomized configurations; a
+    # sweep whose state leaves [0, 1] raises
     rng = np.random.default_rng(2024)
-    worst_gap, clamps, nonneg = 0.0, 0, True
+    worst_gap, nonneg = 0.0, True
     for _ in range(100):
         if rng.random() < 0.5:
             k_min = int(rng.integers(1, 4))
@@ -329,11 +329,10 @@ def test_criterion_9_property_suite(pl2_optimal, er_optimal):
                 grid,
             )
             traj = simulate_grouped(gd, cg, sched, params, grid)
-        clamps += traj.clamp_events
         gap = np.abs(traj.s_hat + traj.i_hat + traj.r_hat - 1.0).max()
         worst_gap = max(worst_gap, gap, np.abs(traj.s + traj.i + traj.r - 1.0).max())
         nonneg &= bool(traj.s.min() >= 0 and traj.i.min() >= 0 and traj.r.min() >= -1e-12)
-    items["conservation"] = worst_gap <= 1e-9 and clamps == 0 and nonneg
+    items["conservation"] = worst_gap <= 1e-9 and nonneg
 
     # identity grouping reproduces the full model
     items["identity_grouping"] = (

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line experiment runner."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epinetopt import cli, dynamics
+from epinetopt import cli, dynamics, optimizer
 from epinetopt.cli import ExperimentConfig, main, write_history_csv
 from epinetopt.errors import ConfigError
 from epinetopt.network import read_distribution
@@ -287,11 +288,12 @@ class TestOtherCommands:
         npt.assert_allclose(data[:, 1], res.history)
         assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
-    def test_failed_line_search_iterations_match_history(self, tmp_path):
-        # at these weights the solve ends in a failed line search
+    def test_failed_line_search_iterations_match_history(self, tmp_path, monkeypatch):
+        # at these weights a search that tries the unit step only fails
+        # after 11 accepted steps
+        monkeypatch.setattr(optimizer, "_MAX_BACKTRACKS", 1)
         code = main([
-            "optimize", "--output", str(tmp_path),
-            "--set", "cost.b=20", "--set", "cost.c=40", "--set", "grid.points=201",
+            "optimize", "--output", str(tmp_path), *SMALL, "--set", "cost.b=20", "--set", "cost.c=40",
         ])
         assert code == 0
         summary = (tmp_path / "summary.txt").read_text().splitlines()
@@ -487,8 +489,23 @@ class TestExitCodes:
     def test_clamped_group_error_is_numerical_failure(self, tmp_path, capsys):
         code = main(["group-error", "--output", str(tmp_path), "--set", "grid.points=251"])
         assert code == 2
-        assert "the reference model left [0, 1]" in capsys.readouterr().err
+        assert "the reference model left [0, 1] at grid step" in capsys.readouterr().err
         assert not (tmp_path / "group_error.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["grid.points=126"], ["grid.points=201"], ["grid.points=3"],
+        ["cost.b=20", "cost.c=40", "grid.points=201"],
+    ], ids=["126", "201", "3", "costly-201"])
+    def test_grid_too_coarse_names_the_strategy_and_step(self, overrides, tmp_path, capsys):
+        # the constant start of the optimal strategy leaves [0, 1] on each grid
+        root = Path(__file__).resolve().parent.parent
+        code = main(["compare", "-c", str(root / "bench" / "experiment.ini"),
+                     "--output", str(tmp_path / "out"), *(a for o in overrides for a in ("--set", o))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: strategy optimal: state left \[0, 1\] "
+                            r"at grid step [1-9]\d*\n", err), err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_objective_is_numerical_failure(self, tmp_path):
         with np.errstate(over="ignore"):
@@ -502,7 +519,9 @@ class TestExitCodes:
     def test_overflow_is_numerical_failure_without_warnings(self, tmp_path, capsys):
         code = main(["compare", "--output", str(tmp_path), *SMALL, "--set", "epidemic.beta=40"])
         assert code == 2
-        assert "floating-point overflow" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure: strategy optimal: state left [0, 1] at grid step 1\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     def test_sweep_records_overflow_in_its_row(self, tmp_path):
@@ -513,7 +532,7 @@ class TestExitCodes:
         assert code == 0
         ok, failed = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert ok.startswith("0.5,") and ok.endswith(",True,")
-        assert failed.startswith("40.0,nan,") and "floating-point overflow" in failed
+        assert failed.startswith("40.0,nan,") and failed.endswith(',"state left [0, 1] at grid step 1"')
 
     @pytest.mark.parametrize("source", ["override", "file"])
     def test_solver_section_is_config_error(self, tmp_path, capsys, source):

@@ -42,6 +42,12 @@ DEFAULTS = EpidemicParams(beta=0.5, gamma=0.25, i0=0.01, duration=20.0)
 GRID = TimeGrid(1001, 20.0)
 
 
+def default_step(n_points):
+    """The ``n_points`` grid with GRID's step, on which the sweeps here stay
+    in [0, 1]; coarser steps make some of them leave it."""
+    return TimeGrid(n_points, GRID.dt * (n_points - 1))
+
+
 def single_class_gd():
     dist = DegreeDistribution(1, 1, np.array([1.0]))
     return grouped_stats(dist, Grouping(np.array([0, 1])))
@@ -129,7 +135,6 @@ class TestHeunStep:
         traj = one_step(EpidemicParams(0.0, 0.0, 0.2, 0.1), 0.1)
         npt.assert_array_equal(traj.s_hat[:, -1], [0.8])
         npt.assert_array_equal(traj.i_hat[:, -1], [0.2])
-        assert traj.clamp_events == 0
 
     def test_scalar_exponential_decay_hand_value(self):
         # with beta=0, gamma=1 the infected fraction follows y' = -y;
@@ -218,9 +223,8 @@ class TestSimulateFull:
         npt.assert_allclose(ip, 0.810098565, atol=1e-4)
 
     @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
-    def test_defaults_run_clamp_free(self, dist):
+    def test_defaults_stay_in_range(self, dist):
         traj = simulate_full(dist, DEFAULTS, GRID)
-        assert traj.clamp_events == 0
         assert traj.s.min() >= 0 and traj.i.min() >= 0 and traj.r.min() >= -1e-12
 
 
@@ -339,7 +343,7 @@ class TestSimulateGrouped:
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         u_z = np.zeros((21, GRID.n_points))
         u_z[4, 40] = np.nan
-        with pytest.raises(NumericalFailureError, match=r"^non-finite state at grid step 40$"):
+        with pytest.raises(NumericalFailureError, match=r"^state left \[0, 1\] at grid step 40$"):
             _integrate(gd, DEFAULTS, GRID, u_z, np.zeros_like(u_z))
 
     def test_schedule_validation(self):
@@ -377,16 +381,16 @@ class TestSimulateGrouped:
 
 class TestAggregate:
     def test_single_group_passthrough(self):
-        gd = grouped_stats(PL2, Grouping(np.array([0, PL2.n_classes])))
-        traj = simulate_grouped(gd, None, None, DEFAULTS, TimeGrid(51, 20.0))
+        gd, grid = grouped_stats(PL2, Grouping(np.array([0, PL2.n_classes]))), default_step(51)
+        traj = simulate_grouped(gd, None, None, replace(DEFAULTS, duration=grid.duration), grid)
         npt.assert_allclose(traj.s, traj.s_hat[0], rtol=1e-12)
         npt.assert_allclose(traj.i, traj.i_hat[0], rtol=1e-12)
         npt.assert_allclose(traj.r, 1.0 - traj.s - traj.i)
 
     def test_uniform_states_average_to_common_value(self):
         # every group starts at (1 - i0, i0), so the aggregates start there too
-        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
-        traj = simulate_grouped(gd, None, None, DEFAULTS, TimeGrid(51, 20.0))
+        gd, grid = grouped_stats(PL2, partition_equal_mass(PL2, 21)), default_step(51)
+        traj = simulate_grouped(gd, None, None, replace(DEFAULTS, duration=grid.duration), grid)
         npt.assert_allclose(traj.s[0], 0.99, atol=1e-12)
         npt.assert_allclose(traj.i[0], 0.01, atol=1e-12)
         npt.assert_allclose(traj.r[0], 0.0, atol=1e-12)
@@ -405,16 +409,14 @@ class TestQuadratureAndExport:
 def stepwise_integrate(gd, params, grid, u_z, v_z):
     """Reference forward sweep: the Heun loop one step at a time.
 
-    Each step makes fresh state vectors, tests s and i for a clamp with
-    four reductions and copies the state into (Z, N) arrays. Returns
-    ``(s, i, clamp_events)``.
+    Each step makes fresh state vectors and copies the state into (Z, N)
+    arrays; nothing is clipped or checked. Returns ``(s, i)``.
     """
     n, dt = grid.n_points, grid.dt
     k_hat, q_hat, beta, gamma = gd.k_hat, gd.q_hat, params.beta, params.gamma
     s, i = np.empty((gd.n_groups, n)), np.empty((gd.n_groups, n))
     s[:, 0], i[:, 0] = 1.0 - params.i0, params.i0
     sn, inn = s[:, 0].copy(), i[:, 0].copy()
-    clamps = 0
 
     def rhs(s, i, u, v):
         infect = (beta * (q_hat @ i)) * (k_hat * s)
@@ -425,13 +427,16 @@ def stepwise_integrate(gd, params, grid, u_z, v_z):
         ds1, di1 = rhs(sn + dt * ds0, inn + dt * di0, u_z[:, step + 1], v_z[:, step + 1])
         sn = sn + 0.5 * dt * (ds0 + ds1)
         inn = inn + 0.5 * dt * (di0 + di1)
-        lo, hi = min(sn.min(), inn.min()), max(sn.max(), inn.max())
-        if lo < 0 or hi > 1:
-            clamps += bool(lo < -1e-12 or hi > 1 + 1e-12)
-            np.clip(sn, 0.0, 1.0, out=sn)
-            np.clip(inn, 0.0, 1.0, out=inn)
         s[:, step + 1], i[:, step + 1] = sn, inn
-    return s, i, clamps
+    return s, i
+
+
+def first_step_outside(s, i):
+    """The first grid step of the (..., N) states ``s``, ``i`` at which one
+    lies outside [0, 1] or is NaN, or None."""
+    inside = [((0 <= x) & (x <= 1)).reshape(-1, x.shape[-1]).all(axis=0) for x in (s, i)]
+    inside = inside[0] & inside[1]
+    return None if inside.all() else int(np.argmin(inside))
 
 
 def stepwise_reverse(gd, params, grid, s, i, u_z, v_z, node_s, node_i):
@@ -481,14 +486,15 @@ COSTS = {"rate": CostParams(0.25, 0.5), "dose": CostParams(0.25, 0.5, "dose", ra
 
 
 def swept_problem(functional, n_points):
-    """Grouped PL2 (Z = 21, M = 3) under the cost of ``functional``.
+    """Grouped PL2 (Z = 21, M = 3) under the cost of ``functional``, on
+    :func:`default_step`'s grid.
 
     ``"dose"`` uses the excess-degree pressure, and its objective has a
     susceptible node term. Returns ``(gd, cg, grid)``.
     """
     excess = functional == "dose"
     gd = grouped_stats(PL2, partition_equal_mass(PL2, 21), excess_degree=excess)
-    return gd, amass_control_groups(gd, 3), TimeGrid(n_points, 20.0)
+    return gd, amass_control_groups(gd, 3), default_step(n_points)
 
 
 def swept_schedule(grid, seed):
@@ -515,11 +521,8 @@ class TestSweepsMatchStepwiseLoops:
         u_z, v_z = u[cg.assignment], v[cg.assignment]
         traj = _integrate(gd, DEFAULTS, grid, u_z, v_z)
         node_s, node_i = node_terms(functional, cg, u, v, traj)
-        s, i, clamps = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
+        s, i = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
         assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
-        assert traj.clamp_events == clamps
-        if n == 126:  # a grid that clamps under this schedule
-            assert clamps > 0
         g_u, g_v = _reverse(gd, cg.assignment, DEFAULTS, grid, s, i, u, v, node_s, node_i)
         ref_u, ref_v = stepwise_reverse(gd, DEFAULTS, grid, s, i, u_z, v_z, node_s, node_i)
         assert np.array_equal(g_u, ref_u) and np.array_equal(g_v, ref_v)
@@ -544,10 +547,9 @@ class TestSweepsMatchStepwiseLoops:
             None if functional == "rate" else node_s, node_i,
         )
         for row, params_b in enumerate(params):
-            s, i, clamps = stepwise_integrate(gd, params_b, grid, u_z[row], v_z[row])
+            s, i = stepwise_integrate(gd, params_b, grid, u_z[row], v_z[row])
             traj = trajs[row]
             assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
-            assert traj.clamp_events == clamps
             alone = _integrate(gd, params_b, grid, u_z[row], v_z[row])
             assert all(np.array_equal(getattr(traj, f.name), getattr(alone, f.name))
                        for f in fields(traj))
@@ -583,110 +585,102 @@ class TestViewsShareOneStep:
         else:
             grouping = partition_equal_mass(dist, z)
         gd = grouped_stats(dist, grouping)
-        grid = TimeGrid(n, 20.0)
+        grid = default_step(n)
         traj = _integrate(gd, DEFAULTS, grid)
         x = np.empty((1, 2, 1, gd.n_groups, 1))  # a one-entry store of one row
         x[0, 0], x[0, 1] = 1.0 - DEFAULTS.i0, DEFAULTS.i0
         zeros = [0.0] * n
         k, q = gd.k_hat[None, :, None], gd.q_hat[None, None, :]
-        steps = dynamics._heun(k, q, x, zeros, zeros, DEFAULTS.beta, DEFAULTS.gamma, grid)
-        clamps = sum(outside is not None for outside in steps)
+        for _ in dynamics._heun(k, q, x, zeros, zeros, DEFAULTS.beta, DEFAULTS.gamma, grid):
+            pass
         assert np.array_equal(x[0, 0, 0, :, 0], traj.s_hat[:, -1])
         assert np.array_equal(x[0, 1, 0, :, 0], traj.i_hat[:, -1])
-        assert clamps == traj.clamp_events
-        # N = 126 clamps on PL2 and on ER's full model, so the clip is covered
-        assert (clamps > 0) == (n == 126 and (dist is PL2 or z == "all"))
 
 
-def unclipped_pass(gd, params, grid, u_z=None, v_z=None):
-    """Run one system through ``dynamics._heun`` with no clip; returns the (N, 2, Z) store."""
+def unchecked_pass(gd, params, grid, u_z=None, v_z=None):
+    """Run one system through ``dynamics._heun`` with no check; returns the (N, 2, Z) store."""
     x = np.empty((grid.n_points, 2, gd.n_groups))
     x[0, 0], x[0, 1] = 1.0 - params.i0, params.i0
     u, v = (None, None) if u_z is None else (u_z.T, v_z.T)
-    for _ in dynamics._heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid,
-                            clip=False):
+    for _ in dynamics._heun(gd.k_hat, gd.q_hat, x, u, v, params.beta, params.gamma, grid):
         pass
     return x
 
 
-def counted_clip(monkeypatch):
-    """Count the calls of ``dynamics._clip`` from here on, one list entry each."""
-    clip, calls = dynamics._clip, []
-
-    def counting(x):
-        calls.append(None)
-        return clip(x)
-
-    monkeypatch.setattr(dynamics, "_clip", counting)
-    return calls
+def stepwise_first_step_outside(gd, params, grid, u_z, v_z):
+    """The first grid step at which :func:`stepwise_integrate`'s state leaves
+    [0, 1], its overflow ignored."""
+    with np.errstate(all="ignore"):
+        return first_step_outside(*stepwise_integrate(gd, params, grid, u_z, v_z))
 
 
 class TestUncheckedPass:
-    """The forward sweeps run Heun unclipped and check the finished store
-    once. A sweep that left [0, 1] or met a floating-point error runs again,
-    clipped after every step, so the unchecked pass never decides an outcome."""
+    """The forward sweeps run Heun once, unchecked, and then check the
+    finished store: a clean sweep keeps the bits of the unchecked pass, and
+    a sweep that left [0, 1] raises, naming the first grid step concerned."""
 
-    def test_clean_sweeps_never_clip(self, monkeypatch):
+    def test_clean_sweeps_keep_the_unchecked_bits(self):
         gd, cg, grid = swept_problem("rate", 1001)
         schedules = [swept_schedule(grid, 1001 + row) for row in range(2)]
-        (u, v), (us, vs) = schedules[0], zip(*schedules)
+        us, vs = zip(*schedules)
+        u_z, v_z = (np.stack(c)[:, cg.assignment] for c in (us, vs))
         params = [replace(DEFAULTS, beta=beta) for beta in (0.5, 0.8)]
-        calls = counted_clip(monkeypatch)
-        trajs = [
-            _integrate(gd, DEFAULTS, grid),
-            _integrate(gd, DEFAULTS, grid, u[cg.assignment], v[cg.assignment]),
-            *_integrate_batch(gd, cg.assignment, params, grid, us, vs),
+        sweeps = [
+            (_integrate(gd, DEFAULTS, grid), unchecked_pass(gd, DEFAULTS, grid)),
+            (_integrate(gd, DEFAULTS, grid, u_z[0], v_z[0]),
+             unchecked_pass(gd, DEFAULTS, grid, u_z[0], v_z[0])),
+            *((traj, unchecked_pass(gd, params[row], grid, u_z[row], v_z[row]))
+              for row, traj in enumerate(_integrate_batch(gd, cg.assignment, params, grid, us, vs))),
         ]
-        assert calls == [] and [t.clamp_events for t in trajs] == [0] * 4
+        for traj, x in sweeps:
+            assert np.array_equal(traj.s_hat, x[:, 0].T) and np.array_equal(traj.i_hat, x[:, 1].T)
 
     @pytest.mark.parametrize("rows", [1, 2])
-    def test_clamping_sweep_clips_every_step(self, rows, monkeypatch):
-        # TestSweepsMatchStepwiseLoops' clamping case, alone and as a batch
+    def test_sweep_leaving_the_range_names_its_step(self, rows):
+        # the 126-point grid over the full horizon, alone and as a batch
         n = 126
-        gd, cg, grid = swept_problem("rate", n)
+        gd, cg, _ = swept_problem("rate", n)
+        grid = TimeGrid(n, 20.0)
         schedules = [swept_schedule(grid, n + row) for row in range(rows)]
         params = [replace(DEFAULTS, beta=beta) for beta in (0.5, 0.8)[:rows]]
         u_z, v_z = (np.stack(c)[:, cg.assignment] for c in zip(*schedules))
-        calls = counted_clip(monkeypatch)
-        if rows == 1:
-            trajs = [_integrate(gd, DEFAULTS, grid, u_z[0], v_z[0])]
-        else:
-            trajs = _integrate_batch(gd, cg.assignment, params, grid, *zip(*schedules))
-        assert len(calls) == n - 1
-        for row, traj in enumerate(trajs):
-            s, i, clamps = stepwise_integrate(gd, params[row], grid, u_z[row], v_z[row])
-            assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
-            assert traj.clamp_events == clamps
-        assert trajs[0].clamp_events > 0
+        want = min(stepwise_first_step_outside(gd, params[row], grid, u_z[row], v_z[row])
+                   for row in range(rows))
+        with pytest.raises(NumericalFailureError, match=rf"^state left \[0, 1\] at grid step {want}$"):
+            if rows == 1:
+                _integrate(gd, DEFAULTS, grid, u_z[0], v_z[0])
+            else:
+                _integrate_batch(gd, cg.assignment, params, grid, *zip(*schedules))
 
-    def test_error_raised_under_callers_errstate_falls_back(self):
+    def test_error_raised_under_callers_errstate_propagates(self):
         # bench/experiment.ini's problem at N = 126: the constant and the
-        # uncontrolled strategy clamp, and under np.errstate(all="raise") the
-        # unclipped pass of each raises FloatingPointError
+        # uncontrolled strategy leave [0, 1], and under np.errstate(all="raise")
+        # the pass of each raises FloatingPointError, which reaches the caller
         gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
         cg, grid = amass_control_groups(gd, 3), TimeGrid(126, 20.0)
-        for schedule, clamps in ((constant_strategy(DEFAULTS, grid, 3), 22),
-                                 (zero_strategy(grid, 3), 35)):
-            u_z, v_z = schedule.u[cg.assignment], schedule.v[cg.assignment]
+        for schedule in (constant_strategy(DEFAULTS, grid, 3), zero_strategy(grid, 3)):
             with np.errstate(all="raise"):
                 with pytest.raises(FloatingPointError, match="overflow"):
-                    unclipped_pass(gd, DEFAULTS, grid, u_z, v_z)
-                traj = simulate_grouped(gd, cg, schedule, DEFAULTS, grid)
-            s, i, want = stepwise_integrate(gd, DEFAULTS, grid, u_z, v_z)
-            assert traj.clamp_events == want == clamps
-            assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+                    simulate_grouped(gd, cg, schedule, DEFAULTS, grid)
+            u_z, v_z = schedule.u[cg.assignment], schedule.v[cg.assignment]
+            want = stepwise_first_step_outside(gd, DEFAULTS, grid, u_z, v_z)
+            with pytest.raises(NumericalFailureError, match=rf"at grid step {want}$"):
+                simulate_grouped(gd, cg, schedule, DEFAULTS, grid)
 
-    @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49)])
-    def test_overflow_warning_falls_back(self, n, clamps):
-        # the full PL2 model's unclipped pass overflows on these grids;
-        # simulate_full raises such a warning as NumericalFailureError
+    @pytest.mark.parametrize("n", [126, 201])
+    def test_overflow_warning_is_ignored(self, n):
+        # the full PL2 model's pass overflows on these grids; simulate_full
+        # raises NumericalFailureError for the state, not for the warning
         gd, grid = grouped_stats(PL2, partition_equal_mass(PL2, PL2.n_classes)), TimeGrid(n, 20.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert not np.isfinite(unclipped_pass(gd, DEFAULTS, grid)).all()
+            assert not np.isfinite(unchecked_pass(gd, DEFAULTS, grid)).all()
         assert any("overflow" in str(w.message) for w in caught)
-        traj = simulate_full(PL2, DEFAULTS, grid)
         zeros = np.zeros((gd.n_groups, n))
-        s, i, want = stepwise_integrate(gd, DEFAULTS, grid, zeros, zeros)
-        assert traj.clamp_events == want == clamps
-        assert np.array_equal(traj.s_hat, s) and np.array_equal(traj.i_hat, i)
+        want = stepwise_first_step_outside(gd, DEFAULTS, grid, zeros, zeros)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailureError,
+                               match=rf"^state left \[0, 1\] at grid step {want}$"):
+                simulate_full(PL2, DEFAULTS, grid)
+        assert caught == []

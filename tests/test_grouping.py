@@ -210,7 +210,7 @@ class TestPartitionRule:
             grouping = partition_equal_mass(dist, dist.n_classes)
         full = simulate_full(dist, DEFAULTS, GRID)
         grouped = simulate_grouped(grouped_stats(dist, grouping), None, None, DEFAULTS, GRID)
-        for name in ("s_hat", "i_hat", "s", "i", "r", "p_hat", "clamp_events"):
+        for name in ("s_hat", "i_hat", "s", "i", "r", "p_hat"):
             assert np.array_equal(getattr(full, name), getattr(grouped, name)), name
         with pytest.warns(UserWarning, match="merged"):
             assert grouping_error(dist, [dist.n_classes], DEFAULTS, GRID) == [0.0]
@@ -423,47 +423,29 @@ class TestGroupingError:
 
     def test_clamp_in_a_later_block_names_its_row(self, monkeypatch):
         # blocks of 7 rows: the reference and z = 1..6, then z = 7..10, whose
-        # last row is made to clamp in every step; a one-pass iterable of
+        # last row is pushed above 1 at grid step 30; a one-pass iterable of
         # counts names its rows too
-        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
-        clip = dynamics._clip
-
-        def clamp_second_block(x):
-            clip(x)
-            if x.shape[1] == 7:
-                return None
-            outside = np.zeros(x.shape, dtype=bool)
-            outside[:, 3] = True
-            return outside
-
-        monkeypatch.setattr(dynamics, "_clip", clamp_second_block)
+        state_set_in_second_block(monkeypatch, 30, 1.5)
         for counts in (list(range(1, 11)), iter(range(1, 11))):
-            with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] in 1000 steps"):
+            with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] at grid step 30$"):
                 grouping_error(PL2, counts, DEFAULTS, GRID)
 
     def test_non_finite_row_in_a_later_block_names_its_row_and_step(self, monkeypatch):
         # blocks of 7 rows as above; the state of z = 10, the last row of the
         # second block, is made non-finite at grid step 25
-        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
-        clip, steps = dynamics._clip, []
-
-        def poison_second_block(x):
-            if x.shape[1] == 4:
-                steps.append(None)
-                if len(steps) == 25:
-                    x[:, 3] = np.nan
-            return clip(x)
-
-        monkeypatch.setattr(dynamics, "_clip", poison_second_block)
-        with pytest.raises(NumericalFailureError, match=r"^non-finite state of z=10 at grid step 25$"):
+        state_set_in_second_block(monkeypatch, 25, np.nan)
+        with pytest.raises(NumericalFailureError, match=r"^z=10 left \[0, 1\] at grid step 25$"):
             grouping_error(PL2, range(1, 11), DEFAULTS, GRID)
 
-    @pytest.mark.parametrize("n, clamps", [(126, 55), (201, 49), (251, 43)])
-    def test_clamped_sweep_fails_naming_the_row(self, n, clamps):
-        # the full model clamps on these grids, as simulate_full counts it
+    @pytest.mark.parametrize("n", [126, 201, 251])
+    def test_clamped_sweep_fails_naming_the_row(self, n):
+        # the full model leaves [0, 1] on these grids, at the step simulate_full names
         grid = TimeGrid(n, 20.0)
-        assert simulate_full(PL2, DEFAULTS, grid).clamp_events == clamps
-        with pytest.raises(NumericalFailureError, match=f"reference model left .* {clamps} steps"):
+        with pytest.raises(NumericalFailureError, match=r"^state left \[0, 1\] at grid step") as failed:
+            simulate_full(PL2, DEFAULTS, grid)
+        step = str(failed.value).rsplit(" ", 1)[1]
+        with pytest.raises(NumericalFailureError,
+                           match=rf"^the reference model left \[0, 1\] at grid step {step}$"):
             grouping_error(PL2, [21], DEFAULTS, grid)
 
     def test_zero_mass_class_is_left_out_of_the_reference(self):
@@ -510,6 +492,22 @@ class TestGroupingError:
         npt.assert_allclose(simulate_grouped(gd, None, None, DEFAULTS, GRID).i, traj.i, atol=1e-12)
 
 
+def state_set_in_second_block(monkeypatch, at, value):
+    """Make ``grouping_error`` of PL2 integrate its rows in blocks of 7 and set
+    the state of the last row of the second block, of four, to ``value`` at
+    grid step ``at``."""
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7 * (PL2.n_classes + 2 * GRID.n_points))
+    heun = dynamics._heun
+
+    def set_second_block(k, q, x, *args):
+        for step, _ in enumerate(heun(k, q, x, *args), 1):
+            if x.shape[2] == 4 and step == at:
+                x[0, :, 3] = value
+            yield
+
+    monkeypatch.setattr(dynamics, "_heun", set_second_block)
+
+
 def errors_in(processes, monkeypatch, dist, counts, grid=GRID):
     """``grouping_error(dist, counts, DEFAULTS, grid)`` shared by ``processes`` processes."""
     monkeypatch.setattr(dynamics, "_error_processes", lambda n_rows, width: processes)
@@ -518,30 +516,36 @@ def errors_in(processes, monkeypatch, dist, counts, grid=GRID):
 
 def heun_with_zero_controls(k, q, s, i, grid):
     """Uncontrolled Heun steps from the states ``s``, ``i`` that multiply by
-    explicit zero controls, one step at a time, and clip to [0, 1] after
-    each. ``k``, ``q`` and the states have the shapes the program uses: (Z,)
-    vectors for one system, (B, W, 1) columns and (B, 1, W) rows for a
-    padded batch. Returns the states at every node, (N, *shape) each, and
-    the steps in which each system's state left [0, 1] by more than 1e-12."""
+    explicit zero controls, one step at a time, with no clip or check and
+    with overflow ignored. ``k``, ``q`` and the states have the shapes the
+    program uses: (Z,) vectors for one system, (B, W, 1) columns and
+    (B, 1, W) rows for a padded batch. Returns the states at every node,
+    (N, *shape) each, and ``(step, system)``: the first step at which a
+    state leaves [0, 1] or is NaN and the first system whose state does
+    there, or None."""
     beta, gamma, dt, half = DEFAULTS.beta, DEFAULTS.gamma, grid.dt, 0.5 * grid.dt
     u = v = np.zeros(np.shape(s))
-    batch = np.ndim(s) == 3
 
     def rhs(s, i):
         infect = (beta * (q @ i)) * (k * s)
         return -infect - u * s, infect - gamma * i - v * i
 
-    ss, ii, clamps = [s], [i], np.zeros(len(s) if batch else 1, dtype=int)
-    for _ in range(grid.n_points - 1):
-        ds0, di0 = rhs(s, i)
-        ds1, di1 = rhs(s + dt * ds0, i + dt * di0)
-        s, i = s + half * (ds0 + ds1), i + half * (di0 + di1)
-        outside = (s < -1e-12) | (s > 1 + 1e-12) | (i < -1e-12) | (i > 1 + 1e-12)
-        clamps += outside.reshape(len(clamps), -1).any(axis=1)
-        s, i = np.clip(s, 0.0, 1.0), np.clip(i, 0.0, 1.0)
-        ss.append(s)
-        ii.append(i)
-    return np.array(ss), np.array(ii), clamps
+    ss, ii = [s], [i]
+    with np.errstate(all="ignore"):
+        for _ in range(grid.n_points - 1):
+            ds0, di0 = rhs(s, i)
+            ds1, di1 = rhs(s + dt * ds0, i + dt * di0)
+            s, i = s + half * (ds0 + ds1), i + half * (di0 + di1)
+            ss.append(s)
+            ii.append(i)
+    ss, ii = np.array(ss), np.array(ii)
+    systems = len(s) if np.ndim(s) == 3 else 1
+    inside = ((0 <= ss) & (ss <= 1) & (0 <= ii) & (ii <= 1)).reshape(len(ss), systems, -1)
+    inside = inside.all(axis=2)  # (N, systems)
+    if inside.all():
+        return ss, ii, None
+    step = int(np.argmin(inside.all(axis=1)))
+    return ss, ii, (step, int(np.argmin(inside[step])))
 
 
 class TestUncontrolledBits:
@@ -554,17 +558,21 @@ class TestUncontrolledBits:
         grid = TimeGrid(n, 20.0)
         gd = grouped_stats(dist, _partition_equal_mass(dist, dist.n_classes))
         z = gd.n_groups
-        s, i, clamps = heun_with_zero_controls(
+        s, i, outside = heun_with_zero_controls(
             gd.k_hat, gd.q_hat, np.full(z, 1.0 - DEFAULTS.i0), np.full(z, DEFAULTS.i0), grid
         )
+        assert n > 126 or outside is not None  # the coarsest grid leaves [0, 1]
+        if outside is not None:
+            with pytest.raises(NumericalFailureError,
+                               match=rf"^state left \[0, 1\] at grid step {outside[0]}$"):
+                simulate_full(dist, DEFAULTS, grid)
+            return
         traj = simulate_full(dist, DEFAULTS, grid)
         assert np.array_equal(traj.s_hat, s.T) and np.array_equal(traj.i_hat, i.T)
-        assert traj.clamp_events == clamps[0]
-        assert n > 126 or clamps[0] > 0  # the coarsest grid clamps
 
     @pytest.mark.parametrize("n", [126, 201, 1001])
     @pytest.mark.parametrize("dist", [PL2, ER], ids=["pl2", "er"])
-    def test_grouping_error_rows(self, dist, n):
+    def test_grouping_error_rows(self, dist, n, monkeypatch):
         grid, counts = TimeGrid(n, 20.0), range(1, dist.n_classes + 1)
         rows = [_partition_equal_mass(dist, z) for z in [dist.n_classes, *counts]]
         width = rows[0].n_groups
@@ -575,17 +583,19 @@ class TestUncontrolledBits:
             z = gd.n_groups
             p[row, 0, :z], q[row, 0, :z], k[row, :z, 0] = gd.p_hat, gd.q_hat, gd.k_hat
             s0[row, :z], i0[row, :z] = 1.0 - DEFAULTS.i0, DEFAULTS.i0
-        s, i, clamps = heun_with_zero_controls(k, q, s0, i0, grid)
+        s, i, outside = heun_with_zero_controls(k, q, s0, i0, grid)
+        if outside is not None:
+            # in one process, whose one block holds every row, the first step
+            # at which a row leaves [0, 1] names that row
+            step, row = outside
+            name = "the reference model" if row == 0 else f"z={row}"
+            with pytest.raises(NumericalFailureError,
+                               match=rf"^{name} left \[0, 1\] at grid step {step}$"):
+                errors_in(1, monkeypatch, dist, counts, grid)
+            return
         s_agg, i_agg = np.empty((len(rows), n)), np.empty((len(rows), n))
         for step in range(n):
             s_agg[:, step:step + 1], i_agg[:, step:step + 1] = (p @ s[step])[:, 0], (p @ i[step])[:, 0]
-        if clamps.any():
-            row = int(np.argmax(clamps > 0))
-            name = "the reference model" if row == 0 else f"z={row}"
-            with pytest.raises(NumericalFailureError,
-                               match=rf"^{name} left \[0, 1\] in {clamps[row]} steps"):
-                grouping_error(dist, counts, DEFAULTS, grid)
-            return
         full = s_agg[0], i_agg[0], 1.0 - s_agg[0] - i_agg[0]
         expected = []
         for s_row, i_row in zip(s_agg[1:], i_agg[1:]):
@@ -646,30 +656,23 @@ class TestErrorProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("failure, message", [
-        ("clamp", r"^z=80 left \[0, 1\] in 1000 steps \(clamp events\)"),
-        ("non-finite", r"^non-finite state of z=80 at grid step 25$"),
-    ])
-    def test_failure_in_a_child_share_names_its_row(self, failure, message, monkeypatch):
-        # z = 80 lies in the second of two shares, z = 51..100; it is made to
-        # clamp in every step, or turn non-finite at grid step 25, in
-        # whichever process integrates it
+    @pytest.mark.parametrize("value, at", [(1.5, 1), (np.nan, 25)], ids=["above one", "non-finite"])
+    def test_failure_in_a_child_share_names_its_row(self, value, at, monkeypatch):
+        # z = 80 lies in the second of two shares, z = 51..100; its state is
+        # pushed above 1 at grid step 1, or made non-finite at grid step 25,
+        # in whichever process integrates it
         heun = dynamics._heun
 
-        def failing(k, *args):
+        def failing(k, q, x, *args):
             row = row_with_groups(k, 80)
-            for step, outside in enumerate(heun(k, *args), 1):
-                if row is not None and failure == "clamp":
-                    forced = np.zeros((2, *k.shape), dtype=bool)
-                    forced[:, row] = True
-                    outside = forced if outside is None else outside | forced
-                elif row is not None and step == 25:
-                    args[1][0, :, row] = np.nan
-                yield outside
+            for step, _ in enumerate(heun(k, q, x, *args), 1):
+                if row is not None and step == at:
+                    x[0, :, row] = value
+                yield
 
         monkeypatch.setattr(dynamics, "_heun", failing)
         for processes in (1, 2):
-            with pytest.raises(NumericalFailureError, match=message):
+            with pytest.raises(NumericalFailureError, match=rf"^z=80 left \[0, 1\] at grid step {at}$"):
                 errors_in(processes, monkeypatch, PL2, range(1, 101))
 
     def test_one_merge_warning_with_two_processes(self, monkeypatch):
