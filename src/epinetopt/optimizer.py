@@ -20,20 +20,20 @@ the gradient and, at the end, to the result, whose ``trajectory`` and
 ``breakdown`` callers use instead of re-simulating. :func:`sweep` prices
 its heuristics through the same call.
 
-The solve is written once, as a generator of the evaluations it needs
-(:func:`_solve`), and driven by one loop (:func:`_lockstep`) that
-answers the requests of up to two solves together: their first iterates
-by one forward sweep, their gradients by one batched reverse sweep, and
-their line searches by one batched forward sweep per backtracking round.
-A batched sweep gives each row the bits it has alone, so each solve's
-result does not depend on the others. :func:`optimize` is the lockstep
-of one solve, whose requests are answered one row at a time. A sweep
-with points for more than one lockstep also spreads them over the
-usable CPUs: it forks a process per extra CPU that a share can keep
-busy, each runs its own lockstep on its share of the points, and the
-rows come back through pipes with the same bits. The fork helpers, which
-:func:`~epinetopt.dynamics.grouping_error` uses too, live in
-:mod:`~epinetopt.dynamics`.
+The solve is written once, as a generator (:func:`_solve`) that
+evaluates its first iterate and yields the other evaluations it needs,
+and driven by one loop (:func:`_lockstep`) that answers the requests of
+up to two jobs together: their gradients by one batched reverse sweep,
+and their line searches by one batched forward sweep per backtracking
+round. A batched sweep gives each row the bits it has alone, so each
+solve's result does not depend on the others. :func:`optimize` is the
+lockstep of one solve; a :func:`sweep` point's job also evaluates its
+heuristics (:func:`_point`). A sweep with points for more than one
+lockstep also spreads them over the usable CPUs: it forks a process per
+extra CPU that a share can keep busy, each runs its own lockstep on its
+share of the points, and the rows come back through pipes with the same
+bits. The fork helpers, which :func:`~epinetopt.dynamics.grouping_error`
+uses too, live in :mod:`~epinetopt.dynamics`.
 """
 
 from __future__ import annotations
@@ -241,13 +241,13 @@ def optimize(
 def _solve(problem, initial=None, start=None):
     """The solve of :func:`optimize` as a generator of the evaluations it needs.
 
-    It yields ``("forward", x)`` for the evaluation of ``x``,
+    It evaluates its first iterate, the projected initial point, by
+    :func:`_first`, unless given that evaluation as ``start``. It yields
     ``("gradient", x, evaluation)`` for ``(J, gradient)`` at the iterate
-    ``x``, and ``("search", x, j, g, d)`` for :func:`_line_search`'s answer,
+    ``x`` and ``("search", x, j, g, d)`` for :func:`_line_search`'s answer,
     and returns the :class:`OptimizationResult`. Each answer is a function
     of its request alone, so the solve does not depend on how many others
-    :func:`_lockstep` answers with it. ``start``, if given and the
-    evaluation of the projected initial point, spares its forward sweep.
+    :func:`_lockstep` answers with it.
     """
     m = problem.cg.n_control
     if initial is None:
@@ -256,9 +256,7 @@ def _solve(problem, initial=None, start=None):
         raise ParameterError("initial schedule does not match the problem layout")
     upper = problem.cost.rate_max
     x = _project(_pack(initial), upper)
-    evaluation = start
-    if start is None or not np.array_equal(x, _pack(start[0])):
-        evaluation = yield "forward", x
+    evaluation = _first(problem, x) if start is None else start
     del start  # the solve holds one evaluation at a time
     history, pairs, stall = [], [], 0  # pairs: the L-BFGS (s, y, 1 / s.y)
 
@@ -307,6 +305,14 @@ def _solve(problem, initial=None, start=None):
         gradient_norm=pg_norm,
         history=np.asarray(history),
     )
+
+
+def _first(problem, x, trajs=None):
+    """:func:`_forward` of a solve's first iterate ``x``; its failure says so."""
+    try:
+        return _forward([problem], [x], trajs)[0]
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"first iterate: {exc}") from exc
 
 
 def _pack(schedule):
@@ -422,24 +428,24 @@ def sweep(
     one of the cost weights ``b``, ``c``. Every point is solved as
     :func:`optimize` solves it, under its fixed stop rule, and its row has
     the bits of that solve whatever the other values and however many
-    processes share the sweep. The points are dealt round-robin to P
-    processes, P = min(usable CPUs, ceil(points / ``_WIDTH``))
+    processes share the sweep. Each point is one job (:func:`_point`),
+    its heuristics and its solve, and the jobs are dealt round-robin to P
+    processes, P = min(usable CPUs, ceil(jobs / ``_WIDTH``))
     (:func:`_processes`): this one and a child forked for each other share
-    (:func:`_share_out`). Each process runs its points ``_WIDTH`` at a time
+    (:func:`_share_out`). Each process runs its jobs ``_WIDTH`` at a time
     in lockstep (:func:`_lockstep`). The children are reaped before ``sweep``
     returns, so ``wait4`` on the whole command adds their CPU time to its
     own and takes their peak RSS into its maximum. The heuristics are
-    simulated per point in a ``beta`` sweep, and evaluated once on
-    ``problem``, before any fork, in a ``b`` or ``c`` sweep, whose dynamics
-    do not depend on the weight; each point prices them through
-    :func:`_forward`, and the constant one is the solve's first iterate.
-    Per-point failures are recorded in the returned row and the sweep
-    continues; a point whose problem cannot be built is never solved.
+    simulated per point in a ``beta`` sweep, and once on ``problem``,
+    before any fork, in a ``b`` or ``c`` sweep, whose dynamics do not
+    depend on the weight. Per-point failures are recorded in the returned
+    row and the sweep continues; a point whose problem cannot be built is
+    never solved, nor one whose constant heuristic, its first iterate, fails.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
     values = [float(value) for value in values]
-    shared = [None, None]  # a b or c sweep's heuristic trajectories, each as [trajectory]
+    shared = [None, None]  # each heuristic's _forward trajs in a b or c sweep, or None
     if name != "beta":
         for h, x in enumerate(_heuristics(problem)):
             try:
@@ -447,10 +453,27 @@ def sweep(
                 shared[h] = [traj]
             except (NumericalFailureError, ParameterError):
                 pass  # each point simulates it again and records the error
-    n = _processes(len(values))
-    shares = _share_out(lambda share: _rows(problem, name, values, shared, share),
-                        [range(p, len(values), n) for p in range(n)])
-    return [shares[k % n][k // n] for k in range(len(values))]
+    rows, jobs = {}, []
+    for k, value in enumerate(values):
+        try:
+            if name == "beta":
+                variant = replace(problem, params=replace(problem.params, beta=value))
+            else:
+                variant = replace(problem, cost=replace(problem.cost, **{name: value}))
+        except (NumericalFailureError, ParameterError) as exc:
+            rows[k] = SweepPoint(value, error=str(exc))
+        else:
+            jobs.append((k, variant, _point(variant, value, shared)))
+
+    def solve(share):
+        """``(k, row)`` of each job of ``share``, solved in this process."""
+        return [(k, row if isinstance(row, SweepPoint) else SweepPoint(values[k], error=str(row)))
+                for k, row in _lockstep(share).items()]
+
+    n = _processes(len(jobs))
+    for answer in _share_out(solve, [jobs[p::n] for p in range(n)]):
+        rows.update(answer)
+    return [rows[k] for k in range(len(values))]
 
 
 def _heuristics(problem):
@@ -459,59 +482,23 @@ def _heuristics(problem):
     return _pack(constant_strategy(problem.params, grid, m)), _pack(zero_strategy(grid, m))
 
 
-def _rows(problem, name, values, shared, share):
-    """The :func:`sweep` rows of the points ``share`` (indices into
-    ``values``), solved in this process; ``shared`` holds each heuristic's
-    ``trajs`` for :func:`_forward`, or None where each point simulates it."""
-    failures = (NumericalFailureError, ParameterError)
-    heuristics = {}  # per point: the constant and no-control breakdowns, or errors
-
-    def point(k):
-        """Point k's :func:`_lockstep` job, which starts its solve from its
-        constant heuristic's evaluation, or None."""
-        try:
-            if name == "beta":
-                variant = replace(problem, params=replace(problem.params, beta=values[k]))
-            else:
-                variant = replace(problem, cost=replace(problem.cost, **{name: values[k]}))
-        except failures as exc:
-            heuristics[k] = (exc,)
-            return None
-        found = []
-        for x, traj in zip(_heuristics(variant), shared):
-            try:
-                found.append(_forward([variant], [x], traj)[0])
-            except failures as exc:
-                found.append(exc)
-        heuristics[k] = [e if isinstance(e, Exception) else e[2] for e in found]
-        first = None if isinstance(found[0], Exception) else found[0]
-        return k, variant, _solve(variant, start=first)
-
-    solved = _lockstep(filter(None, map(point, share)))
-    rows = []
-    for k in share:
-        value = values[k]
-        outcomes = (solved.get(k), *heuristics[k])
-        error = next((e for e in outcomes if isinstance(e, Exception)), None)
-        if error is not None:
-            rows.append(SweepPoint(value, error=str(error)))
-            continue
-        res, const, none = outcomes
-        rows.append(
-            SweepPoint(
-                value=value,
-                J_optimal=res.J,
-                J_constant=const.J,
-                J_none=none.J,
-                improvement_over_constant=improvement_percent(const.J, res.J),
-                improvement_over_none=improvement_percent(none.J, res.J),
-                cumulative_infected_optimal=res.breakdown.infection_term,
-                cumulative_infected_constant=const.infection_term,
-                cumulative_infected_none=none.infection_term,
-                converged=res.converged,
-            )
-        )
-    return rows
+def _point(problem, value, shared):
+    """The :func:`_lockstep` job of :func:`sweep` point ``value``: evaluate the
+    constant heuristic (the solve's first iterate unless the rate bound clips
+    it), solve, evaluate the no-control heuristic, return the row. The first
+    step that raises ends the job: a row's error is its solve's, if any."""
+    x_const = _heuristics(problem)[0]
+    inside = x_const.max() <= problem.cost.rate_max
+    start = _first(problem, x_const, shared[0]) if inside else None
+    const, solve = start and start[2], _solve(problem, start=start)
+    del x_const, start  # while it runs, the solve holds the only evaluation
+    res = yield from solve
+    x_const, x_none = _heuristics(problem)
+    const = const or _forward([problem], [x_const], shared[0])[0][2]
+    [(_, _, none)] = _forward([problem], [x_none], shared[1])
+    return SweepPoint(value, res.J, const.J, none.J, improvement_percent(const.J, res.J),
+                      improvement_percent(none.J, res.J), res.breakdown.infection_term,
+                      const.infection_term, none.infection_term, res.converged)
 
 
 def _processes(n_points):
@@ -523,23 +510,22 @@ def _processes(n_points):
 
 @fp_checked
 def _lockstep(jobs):
-    """Run each ``(key, problem, solve)`` of ``jobs``, ``solve`` a
-    :func:`_solve` generator, ``_WIDTH`` solves at a time; the problems
-    differ at most in beta and cost.
+    """Run each ``(key, problem, solve)`` of ``jobs``, ``solve`` a generator
+    of :func:`_solve`'s requests (a :func:`_solve` or :func:`_point`),
+    ``_WIDTH`` at a time; the problems differ at most in beta and cost.
 
-    Each round answers the running solves' forward requests (first
-    iterates) by one :func:`_forward` call, then their gradient requests by
-    one batched reverse sweep, then their line searches by
+    Each round answers the running solves' gradient requests by one
+    batched reverse sweep, then their line searches by
     :func:`_line_searches`. A request that is alone in its round is answered
-    by the one-row :func:`_forward`, :func:`objective_and_gradient` or
-    :func:`_line_search`, so :func:`optimize`, a lockstep of one job, calls
-    only these. A solve that ends leaves the batch, and the next job takes
-    its slot. A batched answer gives each row the bits it has alone; if it
-    raises, each of its rows is answered alone, a row that raises then has
-    failed, and the others go on. A floating-point overflow or invalid
-    value in a solve's own step, or in its line search's arithmetic, fails
-    it with the error ``optimize: floating-point ...``. Returns ``{key:
-    OptimizationResult, or the error that ended it}``.
+    by the one-row :func:`objective_and_gradient` or :func:`_line_search`,
+    so :func:`optimize`, a lockstep of one job, calls only these. A solve
+    that ends leaves the batch, and the next job takes its slot. A batched
+    answer gives each row the bits it has alone; if it raises, each of its
+    rows is answered alone, a row that raises then has failed, and the
+    others go on. A floating-point overflow or invalid value in a solve's
+    own step, or in its line search's arithmetic, fails it with the error
+    ``optimize: floating-point ...``. Returns ``{key: what its generator
+    returned, or the error that ended it}``.
     """
     jobs, outcomes, running = iter(jobs), {}, []  # running: [key, problem, solve, request]
     failures = (NumericalFailureError, ParameterError, RuntimeWarning)
@@ -585,7 +571,5 @@ def _lockstep(jobs):
             pass
         if not running:
             return outcomes
-        answer("forward", lambda problem, x: _forward([problem], [x])[0],
-               lambda problems, requests: _forward(problems, [x for x, in requests]))
         answer("gradient", objective_and_gradient, _gradients)
         answer("search", _line_search, _line_searches)

@@ -503,8 +503,8 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out"), *(a for o in overrides for a in ("--set", o))])
         assert code == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numerical failure: strategy optimal: state left \[0, 1\] "
-                            r"at grid step [1-9]\d*\n", err), err
+        assert re.fullmatch(r"numerical failure: strategy optimal: first iterate: "
+                            r"state left \[0, 1\] at grid step [1-9]\d*\n", err), err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_objective_is_numerical_failure(self, tmp_path):
@@ -520,7 +520,7 @@ class TestExitCodes:
         code = main(["compare", "--output", str(tmp_path), *SMALL, "--set", "epidemic.beta=40"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "numerical failure: strategy optimal: state left [0, 1] at grid step 1\n"
+            "numerical failure: strategy optimal: first iterate: state left [0, 1] at grid step 1\n"
         )
 
     @pytest.mark.filterwarnings("error")
@@ -532,7 +532,8 @@ class TestExitCodes:
         assert code == 0
         ok, failed = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert ok.startswith("0.5,") and ok.endswith(",True,")
-        assert failed.startswith("40.0,nan,") and failed.endswith(',"state left [0, 1] at grid step 1"')
+        assert failed.startswith("40.0,nan,")
+        assert failed.endswith(',"first iterate: state left [0, 1] at grid step 1"')
 
     @pytest.mark.parametrize("source", ["override", "file"])
     def test_solver_section_is_config_error(self, tmp_path, capsys, source):

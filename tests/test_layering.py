@@ -93,6 +93,19 @@ def test_optimizer_evaluates_schedules_in_one_function():
     assert evaluation_step_reads(forward) == everywhere == sorted(EVALUATION_STEPS)
 
 
+def test_lockstep_answers_every_request_kind_a_solve_yields():
+    # a kind that _solve yields and _lockstep never answers would leave that
+    # solve waiting and the lockstep looping forever
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    yielded = [n.value.elts[0].value for n in ast.walk(functions["_solve"])
+               if isinstance(n, ast.Yield)]
+    answered = [n.args[0].value for n in ast.walk(functions["_lockstep"])
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "answer"]
+    assert all(isinstance(kind, str) for kind in yielded + answered)
+    assert set(yielded) == set(answered) and len(set(answered)) == len(answered) > 0
+
+
 def test_package_exports_every_module_list():
     # the package's list is the union of the module lists, each name bound to
     # the object its module defines; errors lists exactly its exception classes

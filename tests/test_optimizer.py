@@ -485,7 +485,8 @@ class TestSweepProcesses:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_failed_shared_heuristics_fail_every_point(self, processes, monkeypatch):
         # beta = 1e300 overflows in the b sweep's shared heuristic sweeps, then
-        # in each point's own and in its solve's first iterate
+        # in each point's constant heuristic, which is its solve's first
+        # iterate, so that no point is solved
         hot, values = variant("beta", 1e300), [0.25, 0.5]
         for row, b in zip(sweep_in(processes, monkeypatch, "b", values, hot), values):
             with pytest.raises(NumericalFailureError) as failed:
@@ -500,6 +501,121 @@ class TestSweepProcesses:
         with pytest.raises(NumericalFailureError) as failed:
             optimize(variant("beta", 1e300))
         assert rows[1].error == str(failed.value)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_point_whose_constant_start_fails_is_simulated_once_and_not_solved(
+            self, processes, monkeypatch, tmp_path):
+        # beta = 40's constant heuristic, its solve's first iterate, leaves
+        # [0, 1]: that sweep is its only one, no solve starts from it, and its
+        # no-control schedule is never simulated
+        integrate = epinetopt.optimizer._integrate
+        integrate_batch = epinetopt.optimizer._integrate_batch
+        solve = epinetopt.optimizer._solve
+        sweeps, solves = tmp_path / "sweeps.txt", tmp_path / "solves.txt"
+
+        def record(path, line):
+            with open(path, "a") as out:
+                out.write(f"{line}\n")
+
+        def recording(gd, params, grid, u_z=None, v_z=None):
+            record(sweeps, f"{params.beta!r} {digest(u_z.tobytes() + v_z.tobytes())}")
+            return integrate(gd, params, grid, u_z, v_z)
+
+        def recording_batch(gd, assignment, params, grid, u, v):
+            for p, u_b, v_b in zip(params, u, v):
+                controls = u_b[assignment].tobytes() + v_b[assignment].tobytes()
+                record(sweeps, f"{p.beta!r} {digest(controls)}")
+            return integrate_batch(gd, assignment, params, grid, u, v)
+
+        def counting(problem, *args, **kwargs):
+            record(solves, repr(problem.params.beta))
+            return solve(problem, *args, **kwargs)
+
+        hot = variant("beta", 40.0)
+        with pytest.raises(NumericalFailureError) as failed:
+            optimize(hot)
+        a = SMALL_CG.assignment
+        const, none = (digest(s.u[a].tobytes() + s.v[a].tobytes()) for s in (
+            constant_strategy(hot.params, SMALL_GRID, 3), zero_strategy(SMALL_GRID, 3)))
+        monkeypatch.setattr(epinetopt.optimizer, "_integrate", recording)
+        monkeypatch.setattr(epinetopt.optimizer, "_integrate_batch", recording_batch)
+        monkeypatch.setattr(epinetopt.optimizer, "_solve", counting)
+        rows = sweep_in(processes, monkeypatch, "beta", [0.5, 40.0])
+        hot_sweeps = [line.split()[1] for line in sweeps.read_text().splitlines()
+                      if line.startswith("40.0 ")]
+        assert hot_sweeps == [const] and none not in hot_sweeps
+        assert solves.read_text().split() == ["0.5"]
+        assert rows[0] == row_alone("beta", 0.5)
+        assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_constant)
+
+    def test_clipped_constant_heuristic_is_not_the_solves_first_iterate(self, monkeypatch):
+        # under a rate bound below beta/2 the solve starts from the clipped
+        # constant schedule, so the unclipped heuristic's failure is its own:
+        # the point is still solved, and its row carries that error unchanged
+        bounded = replace(SMALL, cost=CostParams(0.25, 0.5, "dose", rate_max=0.2))
+        res, forward = optimize(bounded), epinetopt.optimizer._forward
+        [row] = sweep_in(1, monkeypatch, "b", [0.25], bounded)
+        assert (row.J_optimal, row.converged) == (res.J, res.converged)
+        const = constant_strategy(DEFAULTS, SMALL_GRID, 3)
+        traj = simulate_grouped(SMALL_GD, SMALL_CG, const, DEFAULTS, SMALL_GRID)
+        assert row.J_constant == evaluate_cost(traj, const, SMALL_CG, bounded.cost).J
+        solved = []
+
+        def failing(problems, xs, trajs=None):
+            if any(np.array_equal(x, pack(const)) for x in xs):
+                raise NumericalFailureError("constant failed")
+            solved.extend(x for x in xs if x.max() <= 0.2 and x.any())
+            return forward(problems, xs, trajs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_forward", failing)
+        [row] = sweep_in(1, monkeypatch, "b", [0.25], bounded)
+        assert row.error == "constant failed" and solved
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("solve_fails", [False, True], ids=["none fails", "solve fails too"])
+    def test_row_error_is_the_solves_before_the_no_control_heuristics(
+            self, solve_fails, processes, monkeypatch):
+        # beta = 0.4's no-control schedule fails, and with solve_fails an
+        # overflow in the projection of its solve's 5th line-search trial
+        # fails its solve too: the row carries the solve's error, if any,
+        # and NaN
+        forward, project = epinetopt.optimizer._forward, epinetopt.optimizer._project
+        inputs = []
+
+        def recording(x, upper):
+            inputs.append(x.copy())
+            return project(x, upper)
+
+        def failing(problems, xs, trajs=None):
+            if any(q.params.beta == 0.4 and not x.any() for q, x in zip(problems, xs)):
+                raise NumericalFailureError("no control failed")
+            return forward(problems, xs, trajs)
+
+        def overflowing(x, upper):
+            if np.array_equal(x, target):
+                np.full(1, 1e308) * 10.0
+            return project(x, upper)
+
+        expected = row_alone("beta", 0.5)
+        monkeypatch.setattr(epinetopt.optimizer, "_project", recording)
+        alone = optimize(variant("beta", 0.4))
+        target = inputs[5]
+        monkeypatch.setattr(epinetopt.optimizer, "_forward", failing)
+        if solve_fails:
+            monkeypatch.setattr(epinetopt.optimizer, "_project", overflowing)
+            with pytest.raises(NumericalFailureError) as failed:
+                optimize(variant("beta", 0.4))
+            error = str(failed.value)
+            assert error.startswith("optimize: floating-point overflow")
+        else:
+            monkeypatch.setattr(epinetopt.optimizer, "_project", project)
+            assert optimize(variant("beta", 0.4)).J == alone.J and alone.converged
+            error = "no control failed"
+        rows = sweep_in(processes, monkeypatch, "beta", [0.5, 0.4])
+        assert rows[0] == expected
+        assert rows[1].error == error and rows[1].converged is False
+        numeric = [getattr(rows[1], f.name) for f in fields(SweepPoint)[1:-2]]
+        assert len(numeric) == 8 and np.isnan(numeric).all()
 
     @pytest.mark.parametrize("fault", [None, "child exits", "fork fails", "truncated answer"])
     def test_no_child_is_left_and_every_fallback_gives_the_same_rows(self, fault, monkeypatch):
