@@ -211,6 +211,7 @@ def zero_strategy(grid: TimeGrid, n_control: int) -> ControlSchedule:
     return ControlSchedule(u=np.zeros(shape), v=np.zeros(shape), grid=grid)
 
 
+@fp_checked
 def resource_allocation(
     schedule: ControlSchedule,
     cg: ControlGroups,

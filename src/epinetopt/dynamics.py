@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, ParameterError, fp_checked
+from .errors import NumericalFailureError, ParameterError
 from .grouping import ControlGroups, GroupedDistribution, grouped_stats
 from .grouping import _equal_mass_partitions, _partition_equal_mass
 from .network import DegreeDistribution
@@ -133,7 +133,7 @@ class EpidemicParams:
         if not 0 <= self.i0 < 1:
             raise ParameterError(f"i0 must lie in [0, 1), got {self.i0}", "i0")
         if not (self.duration > 0 and np.isfinite(self.duration)):
-            raise ParameterError(f"duration must be positive, got {self.duration}", "duration")
+            raise ParameterError(f"duration must be finite and positive, got {self.duration}", "duration")
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class TimeGrid:
         if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
             raise ParameterError(f"need at least 2 grid points, got {self.n_points}", "points")
         if not (self.duration > 0 and np.isfinite(self.duration)):
-            raise ParameterError(f"duration must be positive, got {self.duration}", "duration")
+            raise ParameterError(f"duration must be finite and positive, got {self.duration}", "duration")
 
     @property
     def dt(self) -> float:
@@ -501,7 +501,6 @@ def _check_model(params, grid, gd=None, cg=None):
         )
 
 
-@fp_checked
 def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGrid) -> Trajectory:
     """Integrate the uncontrolled epidemic over every degree class.
 
@@ -513,7 +512,6 @@ def simulate_full(dist: DegreeDistribution, params: EpidemicParams, grid: TimeGr
     return _integrate(grouped_stats(dist, full), params, grid)
 
 
-@fp_checked
 def simulate_grouped(
     gd: GroupedDistribution,
     cg: ControlGroups | None,
@@ -547,7 +545,6 @@ def simulate_grouped(
     return _integrate(gd, params, grid, u_z=schedule.u[a], v_z=schedule.v[a])
 
 
-@fp_checked
 def grouping_error(dist: DegreeDistribution, group_counts, params, grid) -> list[float]:
     """Combined relative error of Z-grouped models against the full model.
 

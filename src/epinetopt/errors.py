@@ -45,6 +45,11 @@ def fp_checked(func):
     """Raise floating-point overflow and invalid values inside ``func`` as
     :class:`NumericalFailureError` instead of warning and going on.
 
+    It guards the calls whose own arithmetic can overflow: ``evaluate_cost``,
+    ``resource_allocation``, ``objective_and_gradient`` and ``_lockstep``. A
+    forward sweep needs none: it ignores the warnings and range-checks its
+    states, so a blow-up there is a state outside [0, 1].
+
     NumPy's warnings are turned into errors, not its error state: under any
     ``np.errstate`` every small-array ufunc call is a few percent slower. Like
     ``warnings.catch_warnings``, the filter is process-wide while ``func`` runs.

@@ -184,7 +184,7 @@ def _equal_mass_partitions(dist: DegreeDistribution, group_counts) -> list[Group
             "mass concentration: fewer groups than requested carry probability for z = "
             + ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
             + "; empty groups were merged",
-            stacklevel=4,  # past grouping_error and its fp_checked wrapper
+            stacklevel=3,  # past grouping_error
         )
     return groupings
 

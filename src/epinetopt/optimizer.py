@@ -126,7 +126,6 @@ def _split(problem: OptimizationProblem, x: np.ndarray):
     return x[: m * n].reshape(m, n), x[m * n :].reshape(m, n)
 
 
-@fp_checked
 def _forward(problems, xs, trajs=None):
     """Evaluate the schedule of each flat decision vector of ``xs`` on its
     problem of ``problems``: simulate it, check it, price it.

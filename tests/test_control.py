@@ -1,5 +1,6 @@
 """Tests for schedules, the cost functional, baselines, and allocations."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from epinetopt.dynamics import (
     cumulative_infected,
     simulate_grouped,
 )
-from epinetopt.errors import ParameterError
+from epinetopt.errors import NumericalFailureError, ParameterError
 from epinetopt.grouping import (
     ControlGroups,
     Grouping,
@@ -249,3 +250,21 @@ class TestResourceAllocation:
         sched = constant_strategy(DEFAULTS, GRID, 3)
         alloc = resource_allocation(sched, CG, CostParams(0.0, 0.0))
         assert alloc.no_resources
+
+
+@pytest.mark.parametrize("name", ["resource_allocation", "evaluate_cost"])
+def test_pricing_overflow_is_a_numerical_failure(name):
+    # treatment rates of 1e200 overflow when squared; the call raises instead
+    # of warning and returning NaN shares or an infinite J
+    traj = simulate_grouped(GD, CG, None, replace(DEFAULTS, i0=0.0), GRID)
+    sched = ControlSchedule(np.zeros((3, GRID.n_points)), np.full((3, GRID.n_points), 1e200), GRID)
+    cost = CostParams(0.25, 0.5)
+    calls = {
+        "resource_allocation": lambda: resource_allocation(sched, CG, cost, traj),
+        "evaluate_cost": lambda: evaluate_cost(traj, sched, CG, cost),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalFailureError, match=f"^{name}: floating-point overflow"):
+            calls[name]()
+    assert caught == []

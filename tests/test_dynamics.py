@@ -23,6 +23,7 @@ from epinetopt.dynamics import (
     _integrate_batch,
     _reverse,
     cumulative_infected,
+    grouping_error,
     simulate_full,
     simulate_grouped,
 )
@@ -99,6 +100,17 @@ class TestValidation:
             replace(DEFAULTS, **{field: value})
         assert info.value.field == field
         assert str(info.value) == f"{field} must be finite and >= 0, got {value}"
+
+    @pytest.mark.parametrize("build", [
+        lambda duration: replace(DEFAULTS, duration=duration),
+        lambda duration: TimeGrid(101, duration),
+    ], ids=["params", "grid"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_duration_is_named_as_such(self, build, value):
+        with pytest.raises(ParameterError) as info:
+            build(value)
+        assert info.value.field == "duration"
+        assert str(info.value) == f"duration must be finite and positive, got {value}"
 
     def test_grid(self):
         with pytest.raises(ParameterError):
@@ -683,4 +695,26 @@ class TestUncheckedPass:
             with pytest.raises(NumericalFailureError,
                                match=rf"^state left \[0, 1\] at grid step {want}$"):
                 simulate_full(PL2, DEFAULTS, grid)
+        assert caught == []
+
+    @pytest.mark.parametrize("case", ["constant", "none", "grouping_error"])
+    def test_overflow_warning_is_ignored_by_every_entry_point(self, case):
+        # bench/experiment.ini's problem at N = 126: the range check, not a
+        # floating-point guard, fails each of these sweeps, and no warning escapes
+        gd = grouped_stats(PL2, partition_equal_mass(PL2, 21))
+        cg, grid = amass_control_groups(gd, 3), TimeGrid(126, 20.0)
+        runs = {
+            "constant": (lambda: simulate_grouped(gd, cg, constant_strategy(DEFAULTS, grid, 3),
+                                                  DEFAULTS, grid),
+                         r"^state left \[0, 1\] at grid step 4$"),
+            "none": (lambda: simulate_grouped(gd, cg, None, DEFAULTS, grid),
+                     r"^state left \[0, 1\] at grid step 4$"),
+            "grouping_error": (lambda: grouping_error(PL2, [21, 40], DEFAULTS, grid),
+                               r"^the reference model left \[0, 1\] at grid step 3$"),
+        }
+        run, message = runs[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailureError, match=message):
+                run()
         assert caught == []

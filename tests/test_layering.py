@@ -106,6 +106,23 @@ def test_lockstep_answers_every_request_kind_a_solve_yields():
     assert set(yielded) == set(answered) and len(set(answered)) == len(answered) > 0
 
 
+def test_fp_checked_guards_only_calls_whose_own_arithmetic_can_overflow():
+    """The floating-point guard goes on a call whose own arithmetic can
+    overflow: the pricing, the allocation, the gradient and the solver's
+    steps. It does not go on a forward sweep's caller, because the sweep
+    already ignores NumPy's warnings and range-checks its states, so a
+    blow-up there is a state outside [0, 1] and a guard never fires."""
+    guarded = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "fp_checked"
+                for d in node.decorator_list
+            ):
+                guarded.add(node.name)
+    assert guarded == {"evaluate_cost", "resource_allocation", "objective_and_gradient", "_lockstep"}
+
+
 def test_package_exports_every_module_list():
     # the package's list is the union of the module lists, each name bound to
     # the object its module defines; errors lists exactly its exception classes
