@@ -22,6 +22,7 @@ import io
 import os
 import signal
 import sys
+import threading
 from configparser import ConfigParser
 from configparser import Error as _IniError
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -588,10 +589,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Entry point; returns the process exit code.
 
-    A SIGTERM while it runs raises ``SystemExit(143)``, so the forked
-    children of ``sweep`` and ``group-error`` are killed and reaped on the
-    way out, and the shell still sees 143.
+    On the main thread, a SIGTERM while it runs raises ``SystemExit(143)``,
+    so the forked children of ``sweep`` and ``group-error`` are killed and
+    reaped on the way out, and the shell still sees 143. Another thread,
+    where Python installs no signal handler, leaves SIGTERM as it is.
     """
+    if threading.current_thread() is not threading.main_thread():
+        return _main(argv)
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         return _main(argv)

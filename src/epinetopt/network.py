@@ -52,10 +52,7 @@ class DegreeDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        if self.k_min < 1:
-            raise ParameterError(f"k_min must be >= 1, got {self.k_min}")
-        if self.k_max < self.k_min:
-            raise ParameterError(f"k_max={self.k_max} < k_min={self.k_min}")
+        _check_bounds(self.k_min, self.k_max)
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", pmf)
         if pmf.shape != (self.k_max - self.k_min + 1,):

@@ -22,18 +22,20 @@ its heuristics through the same call.
 
 The solve is written once, as a generator (:func:`_solve`) that
 evaluates its first iterate and yields the other evaluations it needs,
-and driven by one loop (:func:`_lockstep`) that answers the requests of
-up to two jobs together: their gradients by one batched reverse sweep,
-and their line searches by one batched forward sweep per backtracking
-round. A batched sweep gives each row the bits it has alone, so each
-solve's result does not depend on the others. :func:`optimize` is the
-lockstep of one solve; a :func:`sweep` point's job also evaluates its
-heuristics (:func:`_point`). A sweep with points for more than one
-lockstep also spreads them over the usable CPUs: it forks a process per
-extra CPU that a share can keep busy, each runs its own lockstep on its
-share of the points, and the rows come back through pipes with the same
-bits. The fork helpers, which :func:`~epinetopt.dynamics.grouping_error`
-uses too, live in :mod:`~epinetopt.dynamics`.
+each request with its problem, and driven by one loop
+(:func:`_lockstep`) that runs a list of such generators and answers the
+requests of up to two together: their gradients by one batched reverse
+sweep, and their line searches by one batched forward sweep per
+backtracking round. A batched sweep gives each row the bits it has
+alone, so each solve's result does not depend on the others.
+:func:`optimize` is the lockstep of one solve; a :func:`sweep` point's
+generator also builds its problem and evaluates its heuristics
+(:func:`_point`). A sweep with points for more than one lockstep also
+spreads them over the usable CPUs: it forks a process per extra CPU
+that a share can keep busy, each runs its own lockstep on its share of
+the points, and the outcomes come back through pipes with the same bits.
+The fork helpers, which :func:`~epinetopt.dynamics.grouping_error` uses
+too, live in :mod:`~epinetopt.dynamics`.
 """
 
 from __future__ import annotations
@@ -171,22 +173,22 @@ def objective_and_gradient(problem: OptimizationProblem, x: np.ndarray, evaluati
     x = np.asarray(x, dtype=float)
     if evaluation is None:
         [evaluation] = _forward([problem], [x])
-    return _gradients([problem], [(x, evaluation)])[0]
+    return _gradients([(problem, x, evaluation)])[0]
 
 
-def _gradients(problems, requests):
-    """``(J, gradient)`` of each ``(x, evaluation)`` of ``requests``, one per
-    problem, by one reverse sweep: of one system, or of a batch of problems
-    that differ at most in beta and cost."""
-    p, rows = problems[0], []
-    for q, (x, (_, traj, breakdown)) in zip(problems, requests):
+def _gradients(requests):
+    """``(J, gradient)`` of each ``(problem, x, evaluation)`` of ``requests``
+    by one reverse sweep: of one system, or of a batch of problems that
+    differ at most in beta and cost."""
+    p, rows = requests[0][0], []
+    for q, x, (_, traj, breakdown) in requests:
         u, v = _split(q, x)
-        rows.append((breakdown.J, u, v, traj, *_cost_gradient(q.cost, q.cg, u, v, traj)))
-    js, us, vs, trajs, node_s, node_i, dus, dvs = zip(*rows)
+        rows.append((q.params, breakdown.J, u, v, traj, *_cost_gradient(q.cost, q.cg, u, v, traj)))
+    params, js, us, vs, trajs, node_s, node_i, dus, dvs = zip(*rows)
     one = len(rows) == 1  # one system keeps its (Z,) vectors
     pick = (lambda per_row: per_row[0]) if one else list
     g_u, g_v = _reverse(
-        p.gd, p.cg.assignment, pick([q.params for q in problems]), p.grid,
+        p.gd, p.cg.assignment, pick(params), p.grid,
         pick([t.s_hat for t in trajs]), pick([t.i_hat for t in trajs]), pick(us), pick(vs),
         None if node_s[0] is None else pick(node_s), pick(node_i),
     )
@@ -231,7 +233,7 @@ def optimize(
     The solve (:func:`_solve`) runs as the :func:`_lockstep` of one job, and
     the error that ends it is raised.
     """
-    outcome = _lockstep([(0, problem, _solve(problem, initial))])[0]
+    [outcome] = _lockstep([_solve(problem, initial)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -242,11 +244,11 @@ def _solve(problem, initial=None, start=None):
 
     It evaluates its first iterate, the projected initial point, by
     :func:`_first`, unless given that evaluation as ``start``. It yields
-    ``("gradient", x, evaluation)`` for ``(J, gradient)`` at the iterate
-    ``x`` and ``("search", x, j, g, d)`` for :func:`_line_search`'s answer,
-    and returns the :class:`OptimizationResult`. Each answer is a function
-    of its request alone, so the solve does not depend on how many others
-    :func:`_lockstep` answers with it.
+    ``("gradient", problem, x, evaluation)`` for ``(J, gradient)`` at the
+    iterate ``x`` and ``("search", problem, x, j, g, d)`` for
+    :func:`_line_search`'s answer, and returns the :class:`OptimizationResult`.
+    Each request carries its problem, so its answer is a function of it
+    alone, whatever else :func:`_lockstep` answers with it.
     """
     m = problem.cg.n_control
     if initial is None:
@@ -261,7 +263,7 @@ def _solve(problem, initial=None, start=None):
 
     while True:
         # the iterate x, reached by a step from x_old unless it is the first
-        j, g = yield "gradient", x, evaluation
+        j, g = yield "gradient", problem, x, evaluation
         if history:
             s, y = x - x_old, g - g_old
             sy = float(s @ y)
@@ -284,11 +286,11 @@ def _solve(problem, initial=None, start=None):
         d[held] = 0.0
         if g @ d >= 0:  # the masked step is no longer a descent direction
             d = -pg
-        accepted = yield "search", x, j, g, d
+        accepted = yield "search", problem, x, j, g, d
         if accepted is None and pairs:
             # curvature model misleading: drop it and retry with steepest descent
             pairs.clear()
-            accepted = yield "search", x, j, g, -pg
+            accepted = yield "search", problem, x, j, g, -pg
         if accepted is None:
             break
         x_old, g_old = x, g
@@ -341,12 +343,12 @@ def _line_search(problem, x, j, g, d):
     Returns the accepted point and its evaluation, or None: the one-row
     :func:`_line_searches`.
     """
-    return _line_searches([problem], [(x, j, g, d)])[0]
+    return _line_searches([(problem, x, j, g, d)])[0]
 
 
-def _line_searches(problems, requests):
-    """The :func:`_line_search` of each ``(x, j, g, d)`` of ``requests`` on its
-    problem of ``problems``, which differ at most in beta and cost.
+def _line_searches(requests):
+    """The :func:`_line_search` of each ``(problem, x, j, g, d)`` of
+    ``requests``; the problems differ at most in beta and cost.
 
     Round t tries a = 0.5^t in each search still running, skips a search
     whose step is zero, and evaluates the other trial points by one
@@ -363,20 +365,20 @@ def _line_searches(problems, requests):
             break
         trials = []
         for n in running:
-            x, _, _, d = requests[n]
-            x_new = _project(x + alpha * d, problems[n].cost.rate_max)
+            q, x, _, _, d = requests[n]
+            x_new = _project(x + alpha * d, q.cost.rate_max)
             step = x_new - x
             if step.any():
                 trials.append((n, x_new, step))
         try:
-            evaluations = _forward([problems[n] for n, *_ in trials],
+            evaluations = _forward([requests[n][0] for n, *_ in trials],
                                    [x_new for _, x_new, _ in trials]) if trials else []
         except NumericalFailureError:
             if len(trials) > 1:
                 raise
             evaluations = [None]  # the one trial failed: rejected
         for (n, x_new, step), evaluation in zip(trials, evaluations):
-            _, j, g, _ = requests[n]
+            _, _, j, g, _ = requests[n]
             if evaluation is not None and evaluation[2].J <= j + _ARMIJO_C1 * float(g @ step):
                 answers[n] = x_new, evaluation
                 running.remove(n)
@@ -428,8 +430,8 @@ def sweep(
     :func:`optimize` solves it, under its fixed stop rule, and its row has
     the bits of that solve whatever the other values and however many
     processes share the sweep. Each point is one job (:func:`_point`),
-    its heuristics and its solve, and the jobs are dealt round-robin to P
-    processes, P = min(usable CPUs, ceil(jobs / ``_WIDTH``))
+    its problem, its heuristics and its solve, and the jobs are dealt
+    round-robin to P processes, P = min(usable CPUs, ceil(points / ``_WIDTH``))
     (:func:`_processes`): this one and a child forked for each other share
     (:func:`_share_out`). Each process runs its jobs ``_WIDTH`` at a time
     in lockstep (:func:`_lockstep`). The children are reaped before ``sweep``
@@ -438,8 +440,9 @@ def sweep(
     simulated per point in a ``beta`` sweep, and once on ``problem``,
     before any fork, in a ``b`` or ``c`` sweep, whose dynamics do not
     depend on the weight. Per-point failures are recorded in the returned
-    row and the sweep continues; a point whose problem cannot be built is
-    never solved, nor one whose constant heuristic, its first iterate, fails.
+    row and the sweep continues. A point whose problem cannot be built is a
+    point like any other, whose job fails at its first step; neither it nor
+    one whose constant heuristic, its first iterate, fails is solved.
     """
     if name not in ("beta", "b", "c"):
         raise ParameterError(f"sweep parameter must be beta, b, or c, got {name!r}")
@@ -452,27 +455,13 @@ def sweep(
                 shared[h] = [traj]
             except (NumericalFailureError, ParameterError):
                 pass  # each point simulates it again and records the error
-    rows, jobs = {}, []
-    for k, value in enumerate(values):
-        try:
-            if name == "beta":
-                variant = replace(problem, params=replace(problem.params, beta=value))
-            else:
-                variant = replace(problem, cost=replace(problem.cost, **{name: value}))
-        except (NumericalFailureError, ParameterError) as exc:
-            rows[k] = SweepPoint(value, error=str(exc))
-        else:
-            jobs.append((k, variant, _point(variant, value, shared)))
-
-    def solve(share):
-        """``(k, row)`` of each job of ``share``, solved in this process."""
-        return [(k, row if isinstance(row, SweepPoint) else SweepPoint(values[k], error=str(row)))
-                for k, row in _lockstep(share).items()]
-
-    n = _processes(len(jobs))
-    for answer in _share_out(solve, [jobs[p::n] for p in range(n)]):
-        rows.update(answer)
-    return [rows[k] for k in range(len(values))]
+    points = [_point(problem, name, value, shared) for value in values]
+    n = _processes(len(points))
+    rows = [None] * len(points)
+    for p, outcomes in enumerate(_share_out(_lockstep, [points[p::n] for p in range(n)])):
+        rows[p::n] = outcomes
+    return [row if isinstance(row, SweepPoint) else SweepPoint(value, error=str(row))
+            for value, row in zip(values, rows)]
 
 
 def _heuristics(problem):
@@ -481,11 +470,14 @@ def _heuristics(problem):
     return _pack(constant_strategy(problem.params, grid, m)), _pack(zero_strategy(grid, m))
 
 
-def _point(problem, value, shared):
-    """The :func:`_lockstep` job of :func:`sweep` point ``value``: evaluate the
-    constant heuristic (the solve's first iterate unless the rate bound clips
-    it), solve, evaluate the no-control heuristic, return the row. The first
-    step that raises ends the job: a row's error is its solve's, if any."""
+def _point(problem, name, value, shared):
+    """The :func:`_lockstep` job of :func:`sweep` point ``value`` of ``name``:
+    build the point's problem, evaluate the constant heuristic (the solve's
+    first iterate unless the rate bound clips it), solve, evaluate the
+    no-control heuristic, return the row. The first step that raises ends
+    the job: a row's error is its problem's or its solve's, if any."""
+    part = "params" if name == "beta" else "cost"
+    problem = replace(problem, **{part: replace(getattr(problem, part), **{name: value})})
     x_const = _heuristics(problem)[0]
     inside = x_const.max() <= problem.cost.rate_max
     start = _first(problem, x_const, shared[0]) if inside else None
@@ -508,62 +500,61 @@ def _processes(n_points):
 
 
 @fp_checked
-def _lockstep(jobs):
-    """Run each ``(key, problem, solve)`` of ``jobs``, ``solve`` a generator
-    of :func:`_solve`'s requests (a :func:`_solve` or :func:`_point`),
-    ``_WIDTH`` at a time; the problems differ at most in beta and cost.
+def _lockstep(solves):
+    """Run each generator of ``solves`` of :func:`_solve`'s requests (a
+    :func:`_solve` or :func:`_point`), ``_WIDTH`` at a time; the requests'
+    problems differ at most in beta and cost.
 
     Each round answers the running solves' gradient requests by one
     batched reverse sweep, then their line searches by
     :func:`_line_searches`. A request that is alone in its round is answered
     by the one-row :func:`objective_and_gradient` or :func:`_line_search`,
     so :func:`optimize`, a lockstep of one job, calls only these. A solve
-    that ends leaves the batch, and the next job takes its slot. A batched
-    answer gives each row the bits it has alone; if it raises, each of its
-    rows is answered alone, a row that raises then has failed, and the
-    others go on. A floating-point overflow or invalid value in a solve's
+    that ends leaves the batch, and the next generator takes its slot. A
+    batched answer gives each row the bits it has alone; if it raises, each
+    of its rows is answered alone, a row that raises then has failed, and
+    the others go on. A floating-point overflow or invalid value in a solve's
     own step, or in its line search's arithmetic, fails it with the error
-    ``optimize: floating-point ...``. Returns ``{key: what its generator
-    returned, or the error that ended it}``.
+    ``optimize: floating-point ...``. Returns what each generator returned,
+    or the error that ended it, in the order of ``solves``.
     """
-    jobs, outcomes, running = iter(jobs), {}, []  # running: [key, problem, solve, request]
+    outcomes, running = [None] * len(solves), []  # running: [n, solve, request]
+    waiting = enumerate(solves)
     failures = (NumericalFailureError, ParameterError, RuntimeWarning)
     # The rounds' work is done in these helpers, so that no request or answer
     # outlives its round.
 
     def send(slot, reply):
         """Send the solve of ``slot`` ``reply()``; keep it running or record how it ended."""
-        key, _, solve, _ = slot
+        n, solve, _ = slot
         try:
-            slot[3] = solve.send(reply())
+            slot[2] = solve.send(reply())
         except StopIteration as done:
-            outcomes[key] = done.value
+            outcomes[n] = done.value
         except RuntimeWarning as exc:  # in the solve's own step or its search's arithmetic
-            outcomes[key] = NumericalFailureError(f"optimize: floating-point {exc}")
+            outcomes[n] = NumericalFailureError(f"optimize: floating-point {exc}")
         except (NumericalFailureError, ParameterError) as exc:
-            outcomes[key] = exc
+            outcomes[n] = exc
         else:
             running.append(slot)
 
     def start():
-        for key, problem, solve in jobs:
-            send([key, problem, solve, None], lambda: None)
+        for n, solve in waiting:
+            send([n, solve, None], lambda: None)
             return True
         return False
 
     def answer(kind, alone, together):
-        batch = [slot for slot in running if slot[3][0] == kind]
-        running[:] = [slot for slot in running if slot[3][0] != kind]
-        problems, requests = [slot[1] for slot in batch], [slot[3][1:] for slot in batch]
-        replies = None
+        batch = [slot for slot in running if slot[2][0] == kind]
+        running[:] = [slot for slot in running if slot[2][0] != kind]
+        requests, replies = [slot[2][1:] for slot in batch], None
         if len(batch) > 1:
             try:
-                replies = together(problems, requests)
+                replies = together(requests)
             except failures:
                 pass  # answered row by row below
         for n, slot in enumerate(batch):
-            send(slot, lambda: alone(problems[n], *requests[n]) if replies is None
-                 else replies[n])
+            send(slot, lambda: alone(*requests[n]) if replies is None else replies[n])
 
     while True:
         while len(running) < _WIDTH and start():

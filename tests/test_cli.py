@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -253,6 +254,18 @@ class TestOtherCommands:
         assert code == 0
         assert "J = 0.0" in (tmp_path / "summary.txt").read_text()
         assert "no_resources" in (tmp_path / "allocation.csv").read_text()
+
+    def test_runs_off_the_main_thread(self, tmp_path):
+        # Python installs signal handlers only on the main thread; main leaves
+        # SIGTERM alone there instead of failing before it starts
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main([
+            "simulate", "--output", str(tmp_path), *SMALL, "--set", "run.strategies=none",
+        ])))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert "[strategy.none]" in (tmp_path / "summary.txt").read_text()
 
     def test_zero_seed_compare_reports_nan_improvement(self, tmp_path):
         # doing nothing costs J = 0 with no one infected; no improvement over it exists

@@ -106,6 +106,18 @@ def test_lockstep_answers_every_request_kind_a_solve_yields():
     assert set(yielded) == set(answered) and len(set(answered)) == len(answered) > 0
 
 
+def test_every_request_a_solve_yields_carries_its_problem():
+    # the lockstep answers a request from the request alone, so each one
+    # names its problem right after its kind
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    yielded = [n.value for n in ast.walk(functions["_solve"]) if isinstance(n, ast.Yield)]
+    assert yielded and all(
+        isinstance(request, ast.Tuple) and isinstance(request.elts[1], ast.Name)
+        and request.elts[1].id == "problem" for request in yielded
+    )
+
+
 def test_fp_checked_guards_only_calls_whose_own_arithmetic_can_overflow():
     """The floating-point guard goes on a call whose own arithmetic can
     overflow: the pricing, the allocation, the gradient and the solver's

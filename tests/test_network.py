@@ -123,12 +123,19 @@ class TestDegreeDistribution:
     def test_validation_rejects_loose_support(self):
         with pytest.raises(ParameterError):
             DegreeDistribution(1, 3, np.array([0.0, 0.5, 0.5]))
-        with pytest.raises(ParameterError, match="^k_min must be >= 1, got 0$"):
+        with pytest.raises(ParameterError, match="^k_min must be >= 1, got 0$") as failed:
             DegreeDistribution(0, 1, np.array([0.5, 0.5]))
-        with pytest.raises(ParameterError, match="^k_max=2 < k_min=3$"):
+        assert failed.value.field == "k_min"
+        with pytest.raises(ParameterError, match="^k_max=2 < k_min=3$") as failed:
             DegreeDistribution(3, 2, np.array([1.0]))
+        assert failed.value.field == "k_max"
         with pytest.raises(ParameterError, match=r"^pmf length \(2,\) does not match .*\[1, 3\]$"):
             DegreeDistribution(1, 3, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bounds", [(1.5, 3.5), (1, 3.0), (np.float64(1.0), 3)])
+    def test_non_integer_bounds_rejected(self, bounds):
+        with pytest.raises(ParameterError, match="^degree bounds must be integers$"):
+            DegreeDistribution(*bounds, np.array([0.2, 0.3, 0.5]))
 
     def test_interior_zeros_allowed(self):
         dist = DegreeDistribution(2, 4, np.array([0.5, 0.0, 0.5]))

@@ -548,6 +548,38 @@ class TestSweepProcesses:
         assert rows[0] == row_alone("beta", 0.5)
         assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_constant)
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_point_whose_problem_cannot_be_built_does_no_work(self, processes, monkeypatch,
+                                                              tmp_path):
+        # beta = -1 has no problem: its job fails at its first step, before it
+        # simulates a schedule or starts a solve, and its row carries the
+        # ParameterError that building the problem raises
+        forward, solve = epinetopt.optimizer._forward, epinetopt.optimizer._solve
+        log = tmp_path / "work.txt"
+
+        def record(kind, problems):
+            with open(log, "a") as out:
+                out.writelines(f"{kind} {q.params.beta!r}\n" for q in problems)
+
+        def recording(problems, xs, trajs=None):
+            record("forward", problems)
+            return forward(problems, xs, trajs)
+
+        def counting(problem, *args, **kwargs):
+            record("solve", [problem])
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(epinetopt.optimizer, "_forward", recording)
+        monkeypatch.setattr(epinetopt.optimizer, "_solve", counting)
+        rows = sweep_in(processes, monkeypatch, "beta", [0.5, -1.0])
+        work = log.read_text().splitlines()
+        assert {"forward 0.5", "solve 0.5"} <= set(work)
+        assert not [line for line in work if not line.endswith(" 0.5")]
+        assert rows[0].error is None and rows[0].converged
+        with pytest.raises(ParameterError) as failed:
+            variant("beta", -1.0)
+        assert rows[1].error == str(failed.value) and np.isnan(rows[1].J_optimal)
+
     def test_clipped_constant_heuristic_is_not_the_solves_first_iterate(self, monkeypatch):
         # under a rate bound below beta/2 the solve starts from the clipped
         # constant schedule, so the unclipped heuristic's failure is its own:
